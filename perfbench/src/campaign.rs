@@ -251,14 +251,11 @@ impl CampaignBench {
         let store_dir = (self.workload == Workload::StoreRoundtrip).then(|| self.fresh_dir());
         let half_count = if store_dir.is_some() { 2 } else { 1 };
         for half in 0..half_count {
-            let observer = CellObserver::new(tracer.cloned());
-            let mut builder = self
-                .builder(
-                    spec,
-                    self.providers(tracer, recording.filter(|_| half == 0)),
-                    self.workers,
-                )
-                .observer(observer.clone());
+            let mut builder = self.builder(
+                spec,
+                self.providers(tracer, recording.filter(|_| half == 0)),
+                self.workers,
+            );
             let mut store = None;
             if let Some(dir) = &store_dir {
                 let t = Instant::now();
@@ -267,6 +264,10 @@ impl CampaignBench {
                 builder = builder.store(Arc::clone(&s));
                 store = Some(s);
             }
+            // The first-event clock starts here, at the build; the store
+            // open before it is timed on its own as `store.open_ms`.
+            let observer = CellObserver::new(tracer.cloned());
+            builder = builder.observer(observer.clone());
             let outcome = builder.build().map_err(|e| e.to_string())?.execute();
             if let Some(store) = &store {
                 let stats = store.stats();
@@ -297,11 +298,15 @@ impl CampaignBench {
             }
         }
         let cells_ms = halves.iter().flat_map(|(_, o)| o.cells_ms()).collect();
-        let first_event_ms = halves[0].1.first_result_ms().unwrap_or(wall_ms);
+        let first_events_ms = halves
+            .iter()
+            .map(|(_, o)| o.first_result_ms().unwrap_or(wall_ms))
+            .collect();
         Ok(OpRun {
             op: Op {
                 wall_ms,
-                first_event_ms,
+                ended_s: 0.0,
+                first_events_ms,
                 samples: if failed { 0 } else { self.samples_per_op() },
                 cells_ms,
                 failed,
@@ -318,7 +323,9 @@ impl CampaignBench {
         let mut ops = Vec::new();
         while ops.is_empty() || start.elapsed().as_secs_f64() < seconds {
             let spec = self.specs[ops.len() % self.specs.len()];
-            ops.push(self.run_op(spec, None, None)?.op);
+            let mut op = self.run_op(spec, None, None)?.op;
+            op.ended_s = start.elapsed().as_secs_f64();
+            ops.push(op);
         }
         Ok((ops, start.elapsed().as_secs_f64()))
     }
@@ -342,12 +349,15 @@ impl CampaignBench {
         while traced.is_empty() || start.elapsed().as_secs_f64() < seconds {
             let spec = self.specs[(i / 2) % self.specs.len()];
             if i.is_multiple_of(2) {
-                plain.push(self.run_op(spec, None, None)?.op);
+                let mut op = self.run_op(spec, None, None)?.op;
+                op.ended_s = start.elapsed().as_secs_f64();
+                plain.push(op);
             } else {
                 let record = recorded.is_none().then_some(&recording);
                 let t0 = tracer.now_ns();
-                let run = self.run_op(spec, Some(tracer), record)?;
+                let mut run = self.run_op(spec, Some(tracer), record)?;
                 let t1 = tracer.now_ns();
+                run.op.ended_s = start.elapsed().as_secs_f64();
                 if recorded.is_none() {
                     recorded = Some((spec, run.report.clone().ok_or("recorded op failed")?));
                 }

@@ -7,9 +7,6 @@
 /// tables can be checked against fixed digests.
 pub const DEFAULT_CAMPAIGN_SEED: u64 = 20_250_205;
 
-/// Distinct campaign seeds per tenant submission pool in `serve_sessions`.
-pub const SESSION_SEED_POOL: usize = 4;
-
 /// Feedback settings of every campaign and session (the paper's).
 pub const FEEDBACK_ITERS: [usize; 3] = [0, 1, 3];
 
@@ -74,43 +71,75 @@ impl Submission {
     }
 }
 
-/// Per-client submission orders for `serve_sessions`: every
-/// `problem × model × pool seed` triple once, shuffled, dealt to the
-/// clients round-robin. Clients cycle through their list, so later
-/// passes hit the shared cache that earlier passes (of either tenant)
-/// warmed.
-pub fn session_plan(
+/// Sessions per round of a client: one fresh submission, then repeats.
+pub const ROUND: usize = 4;
+
+/// How many rounds back each repeat of a round reaches, by slot
+/// (slot 0 is the fresh submission), and whose fresh submission it
+/// repeats: odd slots the next tenant's, even slots the client's own.
+const REPEAT_LAG: [usize; ROUND] = [0, 2, 4, 6];
+
+/// The endless per-client submission sequences of `serve_sessions`.
+///
+/// Each client works in rounds of [`ROUND`] sessions: one fresh
+/// submission (a `problem × model` pair in a seeded rotation with a
+/// campaign seed no earlier submission used, so the shared cache
+/// misses), then repeats of earlier fresh submissions — the next
+/// tenant's two and six rounds back (cross-tenant hits) and the
+/// client's own four rounds back. A quarter of every client's sessions
+/// is therefore cold however many the run completes, so a slower or
+/// faster run measures the same mix. The first rounds, which have
+/// nothing that far back, repeat the round's own fresh submission.
+#[derive(Debug, Clone)]
+pub struct SessionPlan {
     seed: u64,
-    problems: &[String],
-    models: &[String],
+    pairs: Vec<(String, String)>,
     clients: usize,
-) -> Vec<Vec<Submission>> {
-    let mut rng = SplitMix::new(seed ^ 0x5e55_1045);
-    let pool: Vec<u64> = (0..SESSION_SEED_POOL)
-        .map(|_| campaign_seed(&mut rng))
-        .collect();
-    let mut all = Vec::with_capacity(problems.len() * models.len() * pool.len());
-    for problem in problems {
-        for model in models {
-            for &seed in &pool {
-                all.push(Submission {
-                    problem: problem.clone(),
-                    model: model.clone(),
-                    seed,
-                });
-            }
+}
+
+impl SessionPlan {
+    pub fn new(seed: u64, problems: &[String], models: &[String], clients: usize) -> Self {
+        let mut pairs: Vec<(String, String)> = problems
+            .iter()
+            .flat_map(|p| models.iter().map(move |m| (p.clone(), m.clone())))
+            .collect();
+        let mut rng = SplitMix::new(seed ^ 0x5e55_1045);
+        for i in (1..pairs.len()).rev() {
+            let j = rng.below(i + 1);
+            pairs.swap(i, j);
+        }
+        SessionPlan {
+            seed,
+            pairs,
+            clients: clients.max(1),
         }
     }
-    for i in (1..all.len()).rev() {
-        let j = rng.below(i + 1);
-        all.swap(i, j);
+
+    /// The `index`-th fresh submission over all clients.
+    fn fresh(&self, index: usize) -> Submission {
+        let (problem, model) = self.pairs[index % self.pairs.len()].clone();
+        let mut rng = SplitMix::new(self.seed ^ (index as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+        Submission {
+            problem,
+            model,
+            seed: campaign_seed(&mut rng),
+        }
     }
-    let clients = clients.max(1);
-    let mut plan = vec![Vec::new(); clients];
-    for (i, submission) in all.into_iter().enumerate() {
-        plan[i % clients].push(submission);
+
+    /// The submission `client` posts at its `step`-th session.
+    pub fn submission(&self, client: usize, step: usize) -> Submission {
+        let (round, slot) = (step / ROUND, step % ROUND);
+        let lag = REPEAT_LAG[slot];
+        if slot == 0 || round < lag {
+            return self.fresh(round * self.clients + client);
+        }
+        let owner = if slot % 2 == 1 {
+            (client + 1) % self.clients
+        } else {
+            client
+        };
+        self.fresh((round - lag) * self.clients + owner)
     }
-    plan
 }
 
 #[cfg(test)]
@@ -121,24 +150,63 @@ mod tests {
         (0..n).map(|i| format!("{prefix}{i}")).collect()
     }
 
+    fn first_sessions(plan: &SessionPlan, client: usize, n: usize) -> Vec<Submission> {
+        (0..n).map(|step| plan.submission(client, step)).collect()
+    }
+
     #[test]
     fn same_seed_generates_identical_submissions() {
         let (p, m) = (ids("p", 24), ids("m", 5));
-        assert_eq!(session_plan(7, &p, &m, 2), session_plan(7, &p, &m, 2));
+        let (a, b) = (
+            SessionPlan::new(7, &p, &m, 2),
+            SessionPlan::new(7, &p, &m, 2),
+        );
+        let c = SessionPlan::new(8, &p, &m, 2);
+        for client in 0..2 {
+            assert_eq!(
+                first_sessions(&a, client, 400),
+                first_sessions(&b, client, 400)
+            );
+            assert_ne!(
+                first_sessions(&a, client, 400),
+                first_sessions(&c, client, 400)
+            );
+        }
         assert_eq!(campaign_seeds(7), campaign_seeds(7));
-        assert_ne!(session_plan(7, &p, &m, 2), session_plan(8, &p, &m, 2));
         assert_ne!(campaign_seeds(7), campaign_seeds(8));
     }
 
     #[test]
-    fn plan_covers_every_triple_once() {
+    fn every_round_has_one_fresh_submission_and_repeats_earlier_ones() {
         let (p, m) = (ids("p", 24), ids("m", 5));
-        let plan = session_plan(3, &p, &m, 2);
-        let all: Vec<&Submission> = plan.iter().flatten().collect();
-        assert_eq!(all.len(), 24 * 5 * SESSION_SEED_POOL);
-        let distinct: std::collections::HashSet<_> = all.iter().collect();
-        assert_eq!(distinct.len(), all.len());
-        assert_eq!(plan[0].len(), plan[1].len());
+        let plan = SessionPlan::new(3, &p, &m, 2);
+        let sessions = [
+            first_sessions(&plan, 0, 4000),
+            first_sessions(&plan, 1, 4000),
+        ];
+        let mut seen = std::collections::HashSet::new();
+        for round in 0..1000 {
+            for (client, own) in sessions.iter().enumerate() {
+                let other = &sessions[1 - client];
+                let step = round * ROUND;
+                assert!(seen.insert(own[step].clone()), "fresh submission reused");
+                for slot in 1..ROUND {
+                    let lag = REPEAT_LAG[slot];
+                    let want = match (round >= lag, slot % 2) {
+                        (false, _) => &own[step],
+                        (true, 1) => &other[step - lag * ROUND],
+                        (true, _) => &own[step - lag * ROUND],
+                    };
+                    assert_eq!(&own[step + slot], want, "round {round} slot {slot}");
+                }
+            }
+        }
+        // The fresh rotation reaches every problem × model pair.
+        let pairs: std::collections::HashSet<_> = seen
+            .iter()
+            .map(|s| (s.problem.clone(), s.model.clone()))
+            .collect();
+        assert_eq!(pairs.len(), 24 * 5);
     }
 
     #[test]

@@ -24,12 +24,19 @@ mod trace;
 use picbench_netlist::json::{self, Value};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::Instant;
 
-/// Set-ups timed per run; `setup_s` reports their median. A server
-/// start takes about a millisecond, so it is repeated more often.
-const SETUP_REPS: usize = 15;
-const SERVER_SETUP_REPS: usize = 41;
+/// Processes an untraced run measures in, one after another, each for
+/// an equal share of `--seconds`. On the sizing host the same code can
+/// run a quarter faster in one process than in the next, so a run pools
+/// the operations of several processes and one unlucky process cannot
+/// move its medians.
+const PROCESSES: usize = 4;
+
+/// Set-ups timed per measuring process; `setup_s` reports the median of
+/// all of a run's set-ups.
+const SETUP_REPS: usize = 11;
 
 /// The end-to-end metrics, printed by every `--trace 0` run.
 pub const END_TO_END: [(&str, &str); 9] = [
@@ -121,6 +128,17 @@ impl Workload {
         }
     }
 
+    /// Campaign workers on a host with `nproc` cores. `store_roundtrip`
+    /// runs on one, so every operation appends and syncs the same
+    /// records in the same order and a core stays free for the rest of
+    /// the host; the others use every core, as production does.
+    fn campaign_workers(self, nproc: usize) -> usize {
+        match self {
+            Workload::StoreRoundtrip => 1,
+            _ => nproc,
+        }
+    }
+
     /// Operations and cells the sizing host completes per second, with
     /// margin: the `_tail` percentiles are fixed from these at the run
     /// length, so they do not jump between runs that finish a few more
@@ -129,7 +147,7 @@ impl Workload {
         match self {
             Workload::PaperTables => (0.9, 300.0),
             Workload::ColdEval => (0.6, 250.0),
-            Workload::StoreRoundtrip => (0.6, 450.0),
+            Workload::StoreRoundtrip => (0.35, 240.0),
             Workload::ServeSessions => (120.0, 350.0),
         }
     }
@@ -139,9 +157,13 @@ impl Workload {
 #[derive(Debug, Clone)]
 pub struct Op {
     pub wall_ms: f64,
+    /// When the operation ended, in seconds from the start of the
+    /// measured window.
+    pub ended_s: f64,
     /// Time to the first event a user can act on: the first finished
-    /// cell of a campaign, the first NDJSON line of a session.
-    pub first_event_ms: f64,
+    /// cell of each campaign (both halves of a store round trip), the
+    /// first NDJSON line of a session.
+    pub first_events_ms: Vec<f64>,
     /// Pass@k samples completed (0 when the op failed).
     pub samples: usize,
     pub cells_ms: Vec<f64>,
@@ -175,6 +197,9 @@ struct Args {
     seed: u64,
     seconds: f64,
     trace: bool,
+    /// Measure once in this process and print the raw window as JSON
+    /// (how a run starts its measuring processes).
+    child: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -193,25 +218,25 @@ fn parse_args() -> Result<Args, String> {
         .into_iter()
         .find(|w| w.name() == name)
         .ok_or_else(|| format!("unknown workload {name}"))?;
-    let number = |flag: &str, v: String| {
-        v.parse::<u64>()
-            .map_err(|_| format!("{flag} needs a whole number"))
-    };
-    let seed = number("--seed", get("--seed")?)?;
-    let seconds = number("--seconds", get("--seconds")?)?;
+    let seed = get("--seed")?
+        .parse::<u64>()
+        .map_err(|_| "--seed needs a whole number".to_string())?;
+    let seconds = get("--seconds")?
+        .parse::<f64>()
+        .ok()
+        .filter(|s| s.is_finite() && *s > 0.0)
+        .ok_or("--seconds needs a positive number")?;
     let trace = match get("--trace")?.as_str() {
         "0" => false,
         "1" => true,
         other => return Err(format!("--trace must be 0 or 1, not {other}")),
     };
-    if seconds == 0 {
-        return Err("--seconds must be at least 1".into());
-    }
     Ok(Args {
         workload,
         seed,
-        seconds: seconds as f64,
+        seconds,
         trace,
+        child: argv.iter().any(|a| a == "--child"),
     })
 }
 
@@ -241,28 +266,35 @@ struct Provenance {
 fn end_to_end(
     workload: Workload,
     seconds: f64,
-    ops: &[Op],
-    wall_s: f64,
-    setup: &[f64],
-    concurrency: usize,
+    window: &Window,
     prov: &mut Provenance,
 ) -> BTreeMap<&'static str, f64> {
+    let Window {
+        ops,
+        wall_s,
+        setup,
+        peak_rss_mb,
+    } = window;
     let ok: Vec<&Op> = ops.iter().filter(|op| !op.failed).collect();
     let cells: Vec<f64> = ok
         .iter()
         .flat_map(|op| op.cells_ms.iter().copied())
         .collect();
     let sessions: Vec<f64> = ok.iter().map(|op| op.wall_ms).collect();
-    let first: Vec<f64> = ok.iter().map(|op| op.first_event_ms).collect();
-    let samples: usize = ok.iter().map(|op| op.samples).sum();
-    let per_op_rate: Vec<f64> = ok
+    let first: Vec<f64> = ok
         .iter()
-        .map(|op| op.samples as f64 * concurrency as f64 / (op.wall_ms / 1e3))
+        .flat_map(|op| op.first_events_ms.iter().copied())
         .collect();
-    let per_op_sessions: Vec<f64> = ok
-        .iter()
-        .map(|op| concurrency as f64 / (op.wall_ms / 1e3))
-        .collect();
+    // Rates are medians over batches of about one second of
+    // completions, so a stall of a few seconds moves a rate no more
+    // than it moves a median latency.
+    let batch = ((ops.len() as f64 / wall_s).round() as usize).max(1);
+    let rates = |amount: &dyn Fn(&Op) -> f64| {
+        let done: Vec<(f64, f64)> = ops.iter().map(|op| (op.ended_s, amount(op))).collect();
+        stats::batch_rates(&done, batch)
+    };
+    let sample_rates = rates(&|op| op.samples as f64);
+    let session_rates = rates(&|op| if op.failed { 0.0 } else { 1.0 });
 
     let (op_rate, cell_rate) = workload.sized_rates();
     let mut tail = |name: &'static str, values: &[f64], rate: f64| {
@@ -279,17 +311,17 @@ fn end_to_end(
         tail("session_ms_tail", &sessions, op_rate),
     );
     m.insert("setup_s", stats::median(setup));
-    m.insert("samples_per_s", samples as f64 / wall_s);
+    m.insert("samples_per_s", stats::median(&sample_rates));
     m.insert("cell_ms_p50", stats::median(&cells));
-    m.insert("sessions_per_s", ok.len() as f64 / wall_s);
+    m.insert("sessions_per_s", stats::median(&session_rates));
     m.insert("session_ms_p50", stats::median(&sessions));
     m.insert("first_event_ms_p50", stats::median(&first));
-    m.insert("peak_rss_mb", peak_rss_mb());
+    m.insert("peak_rss_mb", *peak_rss_mb);
     for (name, values) in [
         ("setup_s", setup.to_vec()),
-        ("samples_per_s", per_op_rate),
+        ("samples_per_s", sample_rates),
         ("cell_ms", cells),
-        ("sessions_per_s", per_op_sessions),
+        ("sessions_per_s", session_rates),
         ("session_ms", sessions),
         ("first_event_ms", first),
         ("peak_rss_mb", vec![m["peak_rss_mb"]]),
@@ -306,20 +338,35 @@ struct RunResult {
     metrics: Vec<(&'static str, &'static str, f64)>,
 }
 
-fn run(args: &Args, prov: &mut Provenance) -> Result<RunResult, String> {
-    let work_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("work");
-    std::fs::create_dir_all(&work_dir)
-        .map_err(|e| format!("create {}: {e}", work_dir.display()))?;
-    let tracer = args.trace.then(trace::Tracer::new);
+/// What a measured window yields.
+struct Window {
+    ops: Vec<Op>,
+    wall_s: f64,
+    setup: Vec<f64>,
+    peak_rss_mb: f64,
+}
+
+fn work_dir() -> Result<PathBuf, String> {
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("work");
+    std::fs::create_dir_all(&dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
+    Ok(dir)
+}
+
+/// Sets the workload up, checks it and measures it for `args.seconds`
+/// in this process; with a tracer, also the per-layer metrics.
+fn measure(
+    args: &Args,
+    prov: &mut Provenance,
+    tracer: Option<&Arc<trace::Tracer>>,
+) -> Result<(Window, LayerMetrics), String> {
     let mut layers = LayerMetrics::default();
-    let (ops, wall_s, setup, concurrency) = match args.workload {
+    let (ops, wall_s, setup) = match args.workload {
         Workload::ServeSessions => {
-            let (mut bench, setup) =
-                serve::ServeBench::setup(args.seed, prov.clients, SERVER_SETUP_REPS)?;
+            let (mut bench, setup) = serve::ServeBench::setup(args.seed, prov.clients, SETUP_REPS)?;
             let (sessions, wall_s) = bench.measure(args.seconds, None);
             let (wire, _) = bench.verify(&sessions, None)?;
             let mut ops = serve::ops(&sessions);
-            if let Some(tracer) = &tracer {
+            if let Some(tracer) = tracer {
                 bench.shutdown();
                 let (traced, m) =
                     serve::traced_window(args.seed, prov.clients, args.seconds, &sessions, tracer)?;
@@ -329,18 +376,18 @@ fn run(args: &Args, prov: &mut Provenance) -> Result<RunResult, String> {
             prov.lines
                 .push(format!("wire lines checked: {}", wire.lines));
             bench.shutdown();
-            (ops, wall_s, setup, prov.clients)
+            (ops, wall_s, setup)
         }
         workload => {
             let (mut bench, setup) = campaign::CampaignBench::setup(
                 workload,
                 args.seed,
                 prov.workers,
-                &work_dir,
+                &work_dir()?,
                 SETUP_REPS,
             );
             bench.prepare_references()?;
-            let (ops, wall_s) = match &tracer {
+            let (ops, wall_s) = match tracer {
                 Some(tracer) => {
                     let (ops, wall_s, m) =
                         bench.measure_traced(args.seconds, tracer, &mut prov.lines)?;
@@ -349,30 +396,125 @@ fn run(args: &Args, prov: &mut Provenance) -> Result<RunResult, String> {
                 }
                 None => bench.measure(args.seconds)?,
             };
-            (ops, wall_s, setup, 1)
+            (ops, wall_s, setup)
         }
     };
-    let attempted = ops.len();
-    let failed = ops.iter().filter(|op| op.failed).count();
+    let window = Window {
+        ops,
+        wall_s,
+        setup,
+        peak_rss_mb: peak_rss_mb(),
+    };
+    Ok((window, layers))
+}
+
+/// The raw window a measuring process prints as its last stdout line.
+fn window_json(w: &Window) -> Value {
+    let numbers = |v: &[f64]| Value::Array(v.iter().map(|&x| number(x)).collect());
+    let ops = w.ops.iter().map(|op| {
+        Value::Array(vec![
+            number(op.wall_ms),
+            number(op.ended_s),
+            numbers(&op.first_events_ms),
+            count(op.samples),
+            Value::Bool(op.failed),
+            numbers(&op.cells_ms),
+        ])
+    });
+    object([
+        ("wall_s", number(w.wall_s)),
+        ("peak_rss_mb", number(w.peak_rss_mb)),
+        ("setup", numbers(&w.setup)),
+        ("ops", Value::Array(ops.collect())),
+    ])
+}
+
+fn window_from_json(v: &Value) -> Option<Window> {
+    let numbers =
+        |v: &Value| -> Option<Vec<f64>> { v.as_array()?.iter().map(Value::as_f64).collect() };
+    let ops = v.get("ops")?.as_array()?.iter().map(|op| {
+        let [wall_ms, ended_s, first_events_ms, samples, failed, cells_ms] = op.as_array()? else {
+            return None;
+        };
+        Some(Op {
+            wall_ms: wall_ms.as_f64()?,
+            ended_s: ended_s.as_f64()?,
+            first_events_ms: numbers(first_events_ms)?,
+            samples: samples.as_f64()? as usize,
+            failed: matches!(failed, Value::Bool(true)),
+            cells_ms: numbers(cells_ms)?,
+        })
+    });
+    Some(Window {
+        ops: ops.collect::<Option<_>>()?,
+        wall_s: v.get("wall_s")?.as_f64()?,
+        peak_rss_mb: v.get("peak_rss_mb")?.as_f64()?,
+        setup: numbers(v.get("setup")?)?,
+    })
+}
+
+/// Measures in [`PROCESSES`] fresh processes, one after another, and
+/// pools their windows end to end. Each process runs every correctness
+/// check of its window; a process that fails fails the run.
+fn measure_in_processes(args: &Args) -> Result<Window, String> {
+    let exe = std::env::current_exe().map_err(|e| format!("own executable: {e}"))?;
+    let mut pooled = Window {
+        ops: Vec::new(),
+        wall_s: 0.0,
+        setup: Vec::new(),
+        peak_rss_mb: 0.0,
+    };
+    for part in 0..PROCESSES {
+        let output = std::process::Command::new(&exe)
+            .args(["--workload", args.workload.name()])
+            .args(["--seed", &args.seed.to_string()])
+            .args(["--seconds", &(args.seconds / PROCESSES as f64).to_string()])
+            .args(["--trace", "0", "--child"])
+            .stdin(std::process::Stdio::null())
+            .stderr(std::process::Stdio::inherit())
+            .output()
+            .map_err(|e| format!("start measuring process {part}: {e}"))?;
+        if !output.status.success() {
+            return Err(format!("measuring process {part} {}", output.status));
+        }
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        let window = stdout
+            .lines()
+            .last()
+            .and_then(|line| json::parse(line).ok())
+            .and_then(|v| window_from_json(&v))
+            .ok_or_else(|| format!("measuring process {part} printed no window"))?;
+        let offset = pooled.wall_s;
+        pooled.ops.extend(window.ops.into_iter().map(|mut op| {
+            op.ended_s += offset;
+            op
+        }));
+        pooled.wall_s += window.wall_s;
+        pooled.setup.extend(window.setup);
+        pooled.peak_rss_mb = pooled.peak_rss_mb.max(window.peak_rss_mb);
+    }
+    Ok(pooled)
+}
+
+fn run(args: &Args, prov: &mut Provenance) -> Result<RunResult, String> {
+    let tracer = args.trace.then(trace::Tracer::new);
+    let (window, layers) = match &tracer {
+        Some(tracer) => measure(args, prov, Some(tracer))?,
+        None => (measure_in_processes(args)?, LayerMetrics::default()),
+    };
+    let attempted = window.ops.len();
+    let failed = window.ops.iter().filter(|op| op.failed).count();
     prov.lines.push(format!(
         "failed_ratio: {} ({failed} of {attempted} operations)",
         stats::failed_ratio(failed, attempted)
     ));
     let metrics = match &tracer {
         None => {
-            let e2e = end_to_end(
-                args.workload,
-                args.seconds,
-                &ops,
-                wall_s,
-                &setup,
-                concurrency,
-                prov,
-            );
+            let e2e = end_to_end(args.workload, args.seconds, &window, prov);
             END_TO_END.iter().map(|&(n, u)| (n, u, e2e[n])).collect()
         }
         Some(tracer) => {
-            let path = work_dir.join(format!(
+            let path = work_dir()?.join(format!(
                 "spans-{}-seed{}.jsonl",
                 args.workload.name(),
                 args.seed
@@ -393,6 +535,25 @@ fn run(args: &Args, prov: &mut Provenance) -> Result<RunResult, String> {
         failed,
         metrics,
     })
+}
+
+/// A measuring process: one window, printed raw for the run that
+/// started it; exits 1 when a check fails.
+fn child_main(args: &Args, prov: &mut Provenance) -> ! {
+    let result = measure(args, prov, None);
+    for line in &prov.lines {
+        eprintln!("perfbench: {line}");
+    }
+    match result {
+        Ok((window, _)) => {
+            println!("{}", json::to_string(&window_json(&window)));
+            std::process::exit(0);
+        }
+        Err(e) => {
+            eprintln!("perfbench: CHECK FAILED: {e}");
+            std::process::exit(1);
+        }
+    }
 }
 
 /// A JSON object from `(key, value)` pairs, in order.
@@ -424,14 +585,17 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut prov = Provenance {
-        workers,
-        clients: workers.min(2),
+        workers: args.workload.campaign_workers(nproc),
+        clients: nproc.min(2),
         lines: Vec::new(),
         spreads: Vec::new(),
         tails: Vec::new(),
     };
+    if args.child {
+        child_main(&args, &mut prov);
+    }
     let started = Instant::now();
     let result = run(&args, &mut prov);
     for line in &prov.lines {
@@ -444,7 +608,8 @@ fn main() {
         ("seed", Value::Uint(args.seed)),
         ("seconds", number(args.seconds)),
         ("trace", Value::Bool(args.trace)),
-        ("nproc", count(workers)),
+        ("processes", count(if args.trace { 1 } else { PROCESSES })),
+        ("nproc", count(nproc)),
         (
             "simd",
             Value::String(picbench_math::simd::active_level().token().into()),
@@ -453,7 +618,10 @@ fn main() {
             "force_scalar",
             Value::Bool(std::env::var_os("PICBENCH_FORCE_SCALAR").is_some()),
         ),
-        ("campaign_workers", count(if serve { 1 } else { workers })),
+        (
+            "campaign_workers",
+            count(if serve { 1 } else { prov.workers }),
+        ),
         ("clients", count(if serve { prov.clients } else { 0 })),
         ("elapsed_s", number(started.elapsed().as_secs_f64())),
         (
@@ -534,6 +702,31 @@ mod tests {
             && name
                 .chars()
                 .all(|c| c.is_ascii_alphanumeric() || matches!(c, '_' | '.' | '-'))
+    }
+
+    #[test]
+    fn a_measuring_process_window_survives_its_json_line() {
+        let op = |ended_s: f64, failed: bool| Op {
+            wall_ms: 2101.25,
+            ended_s,
+            first_events_ms: vec![0.1 + 0.2, 61.5],
+            samples: if failed { 0 } else { 3600 },
+            cells_ms: vec![0.044326, 1e-7, 115.491927],
+            failed,
+        };
+        let window = Window {
+            ops: vec![op(2.5, false), op(4.75, true)],
+            wall_s: 10.000123,
+            setup: vec![0.061, 0.058],
+            peak_rss_mb: 53.7265625,
+        };
+        let line = json::to_string(&window_json(&window));
+        let back = window_from_json(&json::parse(&line).unwrap()).unwrap();
+        assert_eq!(json::to_string(&window_json(&back)), line);
+        assert_eq!(back.ops[0].first_events_ms, vec![0.1 + 0.2, 61.5]);
+        assert_eq!(back.ops[1].cells_ms, window.ops[1].cells_ms);
+        assert!(back.ops[1].failed && !back.ops[0].failed);
+        assert_eq!(back.ops[0].samples, 3600);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! `POST /v1/campaigns`, then drain the NDJSON event stream to
 //! `CampaignFinished`, then the next submission.
 
-use crate::gen::{self, Submission, FEEDBACK_ITERS, SAMPLES};
+use crate::gen::{SessionPlan, Submission, FEEDBACK_ITERS, SAMPLES};
 use crate::replay::{self, ReplayInput};
 use crate::stats;
 use crate::trace::{Recording, Span, TracedProvider, Tracer};
@@ -15,7 +15,8 @@ use picbench_server::client::ApiClient;
 use picbench_server::server::{PicbenchServer, ServerConfig, ServerHandle};
 use picbench_server::wire::{decode_event, encode_event};
 use picbench_synthllm::{ModelProfile, ModelProvider};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -32,6 +33,8 @@ pub struct Session {
     pub drain_ms: f64,
     pub first_line_ms: f64,
     pub total_ms: f64,
+    /// When the session ended, in seconds from the start of its window.
+    pub ended_s: f64,
     /// Per cell, from the `POST` to the arrival of its `CellFinished`
     /// line. The stream coalesces sub-millisecond cells into one read,
     /// so the client cannot time `CellStarted → CellFinished` itself.
@@ -59,10 +62,10 @@ pub fn session_failed(s: &Session) -> bool {
     degraded || !finished
 }
 
-/// The server, its clients' submission plans and the reference data.
+/// The server, its clients' submission plan and the reference data.
 pub struct ServeBench {
     server: Option<ServerHandle>,
-    plans: Vec<Vec<Submission>>,
+    plan: SessionPlan,
     problems: Vec<Problem>,
     clients: usize,
 }
@@ -79,7 +82,7 @@ fn start_server(clients: usize) -> Result<ServerHandle, String> {
 }
 
 impl ServeBench {
-    /// Generates the submission plans and starts the server `reps` times
+    /// Generates the submission plan and starts the server `reps` times
     /// (keeping the last), timing each up to the return of
     /// `PicbenchServer::start`, which binds and spawns every thread. The
     /// first answer is checked untimed: it waits on the acceptor's 2 ms
@@ -95,7 +98,7 @@ impl ServeBench {
                 .iter()
                 .map(|m| m.name.to_string())
                 .collect();
-            let plans = gen::session_plan(seed, &ids, &models, clients);
+            let plan = SessionPlan::new(seed, &ids, &models, clients);
             let server = start_server(clients)?;
             times.push(start.elapsed().as_secs_f64());
             let ready = ApiClient::new(server.addr())
@@ -108,7 +111,7 @@ impl ServeBench {
                 server: Some(old), ..
             }) = bench.replace(ServeBench {
                 server: Some(server),
-                plans,
+                plan,
                 problems,
                 clients,
             }) {
@@ -130,15 +133,16 @@ impl ServeBench {
         let start = Instant::now();
         let sessions = Mutex::new(Vec::new());
         std::thread::scope(|scope| {
-            for (client, plan) in self.plans.iter().enumerate() {
-                let sessions = &sessions;
+            for client in 0..self.clients {
+                let (sessions, plan) = (&sessions, &self.plan);
                 scope.spawn(move || {
                     let api = ApiClient::new(addr).with_tenant(format!("tenant-{client}"));
-                    let mut i = 0;
+                    let mut step = 0;
                     while start.elapsed().as_secs_f64() < seconds {
-                        let s = run_session(&api, &plan[i % plan.len()], tracer);
+                        let mut s = run_session(&api, &plan.submission(client, step), tracer);
+                        s.ended_s = start.elapsed().as_secs_f64();
                         sessions.lock().expect("session log poisoned").push(s);
-                        i += 1;
+                        step += 1;
                     }
                 });
             }
@@ -222,25 +226,54 @@ impl ServeBench {
         }
 
         // In-process twins, in first-completion order, over one shared
-        // cache as the server's sessions share one.
-        let mut order: Vec<&Submission> = Vec::new();
-        for s in sessions {
-            if streamed.contains_key(&s.submission) && !order.contains(&&s.submission) {
-                order.push(&s.submission);
-            }
-        }
+        // cache as the server's sessions share one. Untraced, they run
+        // on one thread per client, as the sessions did; traced, on one,
+        // so the recorded responses keep their order for the replays.
+        let mut seen = HashSet::new();
+        let order: Vec<&Submission> = sessions
+            .iter()
+            .map(|s| &s.submission)
+            .filter(|&sub| streamed.contains_key(sub) && seen.insert(sub))
+            .collect();
         let cache = Arc::new(EvalCache::new());
         let recording = Arc::new(Recording::default());
-        let mut reports = Vec::new();
-        for submission in &order {
-            let (events, report) = self.in_process(submission, &cache, tracer, &recording)?;
+        let twin = |submission: &Submission| {
+            let (events, report) =
+                in_process(&self.problems, submission, &cache, tracer, &recording)?;
             if cell_tallies(&events) != cell_tallies(&streamed[submission]) {
                 return Err(format!(
                     "{submission:?}: streamed tallies differ from the in-process run"
                 ));
             }
-            reports.push(report);
-        }
+            Ok(report)
+        };
+        let threads = if tracer.is_some() { 1 } else { self.clients };
+        let next = AtomicUsize::new(0);
+        let done = Mutex::new(Vec::with_capacity(order.len()));
+        std::thread::scope(|scope| {
+            for _ in 0..threads {
+                scope.spawn(|| loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(submission) = order.get(i) else {
+                        break;
+                    };
+                    let result = twin(submission);
+                    let failed = result.is_err();
+                    done.lock()
+                        .expect("twin results poisoned")
+                        .push((i, result));
+                    if failed {
+                        next.store(order.len(), Ordering::Relaxed);
+                    }
+                });
+            }
+        });
+        let mut done = done.into_inner().expect("twin results poisoned");
+        done.sort_by_key(|(i, _)| *i);
+        let reports = done
+            .into_iter()
+            .map(|(_, result)| result)
+            .collect::<Result<Vec<_>, _>>()?;
         let Some(tracer) = tracer else {
             return Ok((wire, None));
         };
@@ -284,71 +317,70 @@ impl ServeBench {
         Ok((wire, Some(m)))
     }
 
-    /// The same submission run in this process on one worker.
-    fn in_process(
-        &self,
-        submission: &Submission,
-        cache: &Arc<EvalCache>,
-        tracer: Option<&Arc<Tracer>>,
-        recording: &Arc<Recording>,
-    ) -> Result<(Vec<CampaignEvent>, CampaignReport), String> {
-        let problem = self
-            .problems
-            .iter()
-            .find(|p| p.id == submission.problem)
-            .cloned()
-            .ok_or("unknown problem")?;
-        let profile = ModelProfile::by_name(&submission.model).ok_or("unknown model")?;
-        let mut provider: Arc<dyn ModelProvider> = Arc::new(profile);
-        if let Some(tracer) = tracer {
-            provider = Arc::new(TracedProvider::new(
-                provider,
-                Arc::clone(tracer),
-                Some(Arc::clone(recording)),
-            ));
-        }
-        let events = Arc::new(Mutex::new(Vec::new()));
-        let sink = Arc::clone(&events);
-        // The cell observer publishes each cell to the model wrapper.
-        let cells = crate::trace::CellObserver::new(tracer.cloned());
-        let campaign = Campaign::builder()
-            .problem(problem)
-            .provider(provider)
-            .samples_per_problem(SAMPLES)
-            .k_values([1, SAMPLES])
-            .feedback_iters(FEEDBACK_ITERS)
-            .seed(submission.seed)
-            .restrictions(false)
-            .threads(1)
-            .shared_cache(Arc::clone(cache))
-            .observer(Arc::new(move |event: &CampaignEvent| {
-                use picbench_core::CampaignObserver;
-                cells.on_event(event);
-                if matches!(event, CampaignEvent::CellFinished { .. }) {
-                    sink.lock()
-                        .expect("event sink poisoned")
-                        .push(event.clone());
-                }
-            }))
-            .build()
-            .map_err(|e| e.to_string())?;
-        let report = match tracer {
-            Some(tracer) => {
-                tracer.open("core.inprocess_session", tracer.next_id());
-                let outcome = campaign.execute();
-                tracer.close();
-                outcome.report
-            }
-            None => campaign.execute().report,
-        }
-        .ok_or("in-process run was cancelled")?;
-        let events = events.lock().expect("event sink poisoned").clone();
-        Ok((events, report))
-    }
-
     pub fn clients(&self) -> usize {
         self.clients
     }
+}
+
+/// The same submission run in this process on one worker.
+fn in_process(
+    problems: &[Problem],
+    submission: &Submission,
+    cache: &Arc<EvalCache>,
+    tracer: Option<&Arc<Tracer>>,
+    recording: &Arc<Recording>,
+) -> Result<(Vec<CampaignEvent>, CampaignReport), String> {
+    let problem = problems
+        .iter()
+        .find(|p| p.id == submission.problem)
+        .cloned()
+        .ok_or("unknown problem")?;
+    let profile = ModelProfile::by_name(&submission.model).ok_or("unknown model")?;
+    let mut provider: Arc<dyn ModelProvider> = Arc::new(profile);
+    if let Some(tracer) = tracer {
+        provider = Arc::new(TracedProvider::new(
+            provider,
+            Arc::clone(tracer),
+            Some(Arc::clone(recording)),
+        ));
+    }
+    let events = Arc::new(Mutex::new(Vec::new()));
+    let sink = Arc::clone(&events);
+    // The cell observer publishes each cell to the model wrapper.
+    let cells = crate::trace::CellObserver::new(tracer.cloned());
+    let campaign = Campaign::builder()
+        .problem(problem)
+        .provider(provider)
+        .samples_per_problem(SAMPLES)
+        .k_values([1, SAMPLES])
+        .feedback_iters(FEEDBACK_ITERS)
+        .seed(submission.seed)
+        .restrictions(false)
+        .threads(1)
+        .shared_cache(Arc::clone(cache))
+        .observer(Arc::new(move |event: &CampaignEvent| {
+            use picbench_core::CampaignObserver;
+            cells.on_event(event);
+            if matches!(event, CampaignEvent::CellFinished { .. }) {
+                sink.lock()
+                    .expect("event sink poisoned")
+                    .push(event.clone());
+            }
+        }))
+        .build()
+        .map_err(|e| e.to_string())?;
+    let report = match tracer {
+        Some(tracer) => {
+            tracer.open("core.inprocess_session", tracer.next_id());
+            let outcome = campaign.execute();
+            tracer.close();
+            outcome.report
+        }
+        None => campaign.execute().report,
+    }
+    .ok_or("in-process run was cancelled")?;
+    let events = events.lock().expect("event sink poisoned").clone();
+    Ok((events, report))
 }
 
 /// Wire codec timings over every received line.
@@ -391,6 +423,7 @@ fn run_session(api: &ApiClient, submission: &Submission, tracer: Option<&Arc<Tra
         drain_ms: 0.0,
         first_line_ms: 0.0,
         total_ms: 0.0,
+        ended_s: 0.0,
         cells_ms: Vec::new(),
     };
     let t0 = tracer.map(|t| t.now_ns());
@@ -514,7 +547,8 @@ pub fn ops(sessions: &[Session]) -> Vec<Op> {
             let failed = session_failed(s);
             Op {
                 wall_ms: s.total_ms,
-                first_event_ms: s.first_line_ms,
+                ended_s: s.ended_s,
+                first_events_ms: vec![s.first_line_ms],
                 samples: if failed {
                     0
                 } else {
@@ -576,6 +610,7 @@ mod tests {
             drain_ms: 1.0,
             first_line_ms: 1.0,
             total_ms: 2.0,
+            ended_s: 1.0,
             cells_ms: Vec::new(),
         }
     }

@@ -76,6 +76,25 @@ pub fn spread(values: &[f64]) -> [f64; 5] {
     }
 }
 
+/// Rates over consecutive batches of `batch` completions. `done` holds
+/// `(completion time in seconds from the window start, amount)`; a
+/// batch's rate is its amount over the time from the previous batch's
+/// last completion (the window start for the first) to its own last.
+/// A final batch short of `batch` completions is left out.
+pub fn batch_rates(done: &[(f64, f64)], batch: usize) -> Vec<f64> {
+    let mut done = done.to_vec();
+    done.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let mut since = 0.0;
+    done.chunks_exact(batch.max(1))
+        .map(|chunk| {
+            let end = chunk[chunk.len() - 1].0;
+            let rate = chunk.iter().map(|d| d.1).sum::<f64>() / (end - since);
+            since = end;
+            rate
+        })
+        .collect()
+}
+
 /// Operations that failed over operations attempted.
 pub fn failed_ratio(failed: usize, attempted: usize) -> f64 {
     if attempted == 0 {
@@ -133,6 +152,16 @@ mod tests {
         assert!((q1 - 2.75).abs() < 1e-12 && (q3 - 8.25).abs() < 1e-12);
         // statistics.quantiles([3, 1, 2], n=4) == [1.0, 2.0, 3.0]
         assert_eq!(spread(&[3.0, 1.0, 2.0]), [1.0, 1.0, 2.0, 3.0, 3.0]);
+    }
+
+    #[test]
+    fn batch_rates_divide_each_batch_by_the_time_it_spans() {
+        // Completions at 1..=5 s, unordered; batches of two leave the
+        // fifth out: (2 + 4) / 2 s and (6 + 8) / 2 s.
+        let done = [(3.0, 6.0), (1.0, 2.0), (5.0, 10.0), (2.0, 4.0), (4.0, 8.0)];
+        assert_eq!(batch_rates(&done, 2), vec![3.0, 7.0]);
+        assert_eq!(batch_rates(&done, 5), vec![6.0]);
+        assert!(batch_rates(&done, 6).is_empty());
     }
 
     #[test]
