@@ -4,26 +4,35 @@
 //! Two engine configurations run the identical synthetic campaign
 //! (`problems × models × feedback settings × samples`):
 //!
-//! * **baseline** — the PR-1 engine: one work unit per problem
-//!   ([`CampaignGrain::PerProblem`]), no evaluation cache, legacy sweep
-//!   semantics (every grid point solved, per-sweep internal
-//!   parallelism);
-//! * **cached** — the content-addressed engine: fine-grained
-//!   `(problem × model × feedback)` work units
-//!   ([`CampaignGrain::PerCell`]), a shared sharded [`EvalCache`](picbench_core::EvalCache) seeded
-//!   with the golden responses, serial sweeps (the campaign parallelizes
-//!   across cells instead).
+//! * **baseline** — the original pre-cache engine, rebuilt in
+//!   [`picbench_bench::baseline`]: one work unit per problem, no
+//!   evaluation cache, every grid point solved with per-sweep internal
+//!   parallelism;
+//! * **cached** — the production campaign engine: fine-grained
+//!   `(problem × model × feedback)` work units, a shared sharded
+//!   [`EvalCache`](picbench_core::EvalCache) seeded with the golden
+//!   responses, serial sweeps (the campaign parallelizes across cells
+//!   instead).
+//!
+//! Both run the default composition backend, so the speedup measures the
+//! engine, not the solver.
 //!
 //! Both must produce **bit-identical** [`CampaignReport`]s — the bench
 //! asserts it, and additionally re-runs the cached engine at several
 //! thread counts to assert scheduling independence. The median wall
-//! clock over `--reps` repetitions is reported along with cell/sample
-//! throughput and the cache hit rate.
+//! clock over `--reps` repetitions is reported along with its min and
+//! max, cell/sample throughput, the cache hit rate, the host's core
+//! count and the default SIMD tier.
+//!
+//! `--previous PATH` reads a report written earlier by this binary (for
+//! example by the parent revision, on the same host and workload) and
+//! records its production-engine median next to this run's, with the
+//! ratio, as the end-to-end delta of the change in between.
 //!
 //! Usage: `cargo run --release -p picbench-bench --bin campaign_bench --
 //! [--problems N] [--samples N] [--points N] [--reps N] [--threads N]
 //! [--min-speedup X] [--out PATH] [--store-dir PATH] [--resume]
-//! [--events ndjson]`
+//! [--events ndjson] [--previous PATH]`
 //!
 //! `--events ndjson` mirrors the cold store campaign's events to stderr
 //! in the canonical `picbench-server` wire format; the cumulative
@@ -44,9 +53,9 @@
 //! run replay journalled cells outright instead of re-evaluating
 //! through the disk tier.
 
+use picbench_bench::baseline::run_baseline_campaign;
 use picbench_core::{
-    run_campaign, Campaign, CampaignConfig, CampaignGrain, CampaignReport, EvalStore,
-    SharedEvalStore,
+    run_campaign, Campaign, CampaignConfig, CampaignReport, EvalStore, SharedEvalStore,
 };
 use picbench_problems::Problem;
 use picbench_sim::WavelengthGrid;
@@ -55,9 +64,39 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
-fn median_ms(mut samples: Vec<f64>) -> f64 {
+/// `(min, median, max)` of the repetition wall clocks.
+fn spread_ms(mut samples: Vec<f64>) -> (f64, f64, f64) {
     samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
+    (
+        samples[0],
+        samples[samples.len() / 2],
+        samples[samples.len() - 1],
+    )
+}
+
+/// The `"previous"` section: the production engine's median in an
+/// earlier report and this run's speedup over it.
+fn previous_section(path: &str, cached: f64) -> String {
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
+        eprintln!("cannot read --previous report {path}: {e}");
+        std::process::exit(2);
+    });
+    let Some(prev_cached) = picbench_netlist::json::parse(&text)
+        .ok()
+        .and_then(|v| v.get("results")?.get("cached_per_cell_ms")?.as_f64())
+    else {
+        eprintln!("--previous report {path} has no results.cached_per_cell_ms");
+        std::process::exit(2);
+    };
+    println!(
+        "vs previous report: cached {prev_cached:.0} -> {cached:.0} ms ({:.2}x)",
+        prev_cached / cached
+    );
+    format!(
+        ",\n  \"previous\": {{\n    \"cached_per_cell_ms\": {prev_cached:.1},\n    \
+         \"cached_speedup_vs_previous\": {:.2}\n  }}",
+        prev_cached / cached
+    )
 }
 
 /// Builds the cached-engine campaign with a persistent store attached —
@@ -96,12 +135,13 @@ struct Args {
     store_dir: Option<PathBuf>,
     resume: bool,
     events_ndjson: bool,
+    previous: Option<String>,
 }
 
 fn parse_args() -> Args {
     let usage = "usage: campaign_bench [--problems N] [--samples N] [--points N] [--reps N] \
                  [--threads N] [--min-speedup X] [--out PATH] [--store-dir PATH] [--resume] \
-                 [--events ndjson]";
+                 [--events ndjson] [--previous PATH]";
     let mut args = Args {
         problems: usize::MAX,
         samples: 5,
@@ -113,6 +153,7 @@ fn parse_args() -> Args {
         store_dir: None,
         resume: false,
         events_ndjson: false,
+        previous: None,
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -169,6 +210,13 @@ fn parse_args() -> Args {
             "--resume" => {
                 args.resume = true;
             }
+            "--previous" => {
+                i += 1;
+                args.previous = Some(argv.get(i).cloned().unwrap_or_else(|| {
+                    eprintln!("--previous needs a path; {usage}");
+                    std::process::exit(2);
+                }));
+            }
             "--events" => {
                 i += 1;
                 match argv.get(i).map(String::as_str) {
@@ -206,16 +254,8 @@ fn main() {
         threads: args.threads,
         ..CampaignConfig::default()
     };
-    let baseline_config = CampaignConfig {
-        grain: CampaignGrain::PerProblem,
-        cache: false,
-        legacy_sweeps: true,
-        ..base_config.clone()
-    };
     let cached_config = CampaignConfig {
-        grain: CampaignGrain::PerCell,
         cache: true,
-        legacy_sweeps: false,
         ..base_config.clone()
     };
 
@@ -246,7 +286,7 @@ fn main() {
     let mut cached_report: Option<CampaignReport> = None;
     for rep in 0..args.reps {
         let t = Instant::now();
-        let report = run_campaign(&profiles, &problems, &baseline_config);
+        let report = run_baseline_campaign(&profiles, &problems, &base_config);
         baseline_ms.push(t.elapsed().as_secs_f64() * 1e3);
         if let Some(reference) = &baseline_report {
             assert!(reference.same_results(&report), "baseline not reproducible");
@@ -375,14 +415,14 @@ fn main() {
         store_stats.degraded,
     );
 
-    let baseline = median_ms(baseline_ms);
-    let cached = median_ms(cached_ms);
+    let (baseline_min, baseline, baseline_max) = spread_ms(baseline_ms);
+    let (cached_min, cached, cached_max) = spread_ms(cached_ms);
     let speedup = baseline / cached;
     let stats = cached_report.cache_stats.expect("cached run has stats");
     let hit_rate = stats.hit_rate();
     println!(
-        "baseline (PR-1 engine: per-problem, uncached, legacy sweeps): {baseline:.0} ms \
-         ({:.2} cells/s)",
+        "baseline (pre-cache engine: per-problem, uncached, every point solved): \
+         {baseline:.0} ms ({:.2} cells/s)",
         cells as f64 / (baseline / 1e3)
     );
     println!(
@@ -403,6 +443,12 @@ fn main() {
     let cpus = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
+    let simd_level = picbench_math::simd::active_level();
+    let previous = args
+        .previous
+        .as_deref()
+        .map(|path| previous_section(path, cached))
+        .unwrap_or_default();
     let json = format!(
         "{{\n  \"benchmark\": \"content-addressed campaign engine\",\n  \
          \"workload\": {{\n    \"problems\": {},\n    \"models\": {},\n    \
@@ -410,12 +456,18 @@ fn main() {
          \"cells\": {cells},\n    \"samples\": {samples_total},\n    \
          \"grid_points\": {}\n  }},\n  \"repetitions\": {},\n  \
          \"metric\": \"median wall-clock per full campaign, milliseconds\",\n  \
-         \"host_cpus\": {cpus},\n  \"threads_used\": {},\n  \
-         \"baseline_definition\": \"PR-1 engine: per-problem work queue, no evaluation \
-         cache, legacy sweep semantics (every grid point solved)\",\n  \"results\": {{\n    \
-         \"baseline_pr1_engine_ms\": {baseline:.1},\n    \
+         \"host_cpus\": {cpus},\n  \"simd_level\": \"{simd_level}\",\n  \
+         \"threads_used\": {},\n  \"backend\": \"{}\",\n  \
+         \"baseline_definition\": \"pre-cache engine (crates/bench/src/baseline.rs): \
+         per-problem work queue, no evaluation cache, every grid point solved\",\n  \
+         \"results\": {{\n    \
+         \"baseline_ms\": {baseline:.1},\n    \
          \"cached_per_cell_ms\": {cached:.1},\n    \"speedup\": {speedup:.2},\n    \
-         \"baseline_cells_per_sec\": {:.2},\n    \"cached_cells_per_sec\": {:.2}\n  }},\n  \
+         \"baseline_cells_per_sec\": {:.2},\n    \"cached_cells_per_sec\": {:.2},\n    \
+         \"baseline_ms_min\": {baseline_min:.1},\n    \
+         \"baseline_ms_max\": {baseline_max:.1},\n    \
+         \"cached_ms_min\": {cached_min:.1},\n    \"cached_ms_max\": {cached_max:.1}\n  \
+         }}{previous},\n  \
          \"cache\": {{\n    \"lookups\": {},\n    \"response_hits\": {},\n    \
          \"report_hits\": {},\n    \"sim_hits\": {},\n    \"misses\": {},\n    \
          \"hit_rate\": {hit_rate:.4}\n  }},\n  \
@@ -435,6 +487,7 @@ fn main() {
         args.points,
         args.reps,
         worker_cap.min(cells),
+        picbench_sim::Backend::default(),
         cells as f64 / (baseline / 1e3),
         cells as f64 / (cached / 1e3),
         stats.lookups(),

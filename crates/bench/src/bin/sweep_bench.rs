@@ -29,11 +29,15 @@
 //!   driven point by point here (its factor-once batching would
 //!   likewise degenerate on a dispersionless mesh).
 //!
-//! The block-sparse plan is additionally re-measured with kernel
-//! dispatch pinned to the scalar tier
-//! (`picbench_math::simd::with_forced_scalar`), producing per-ISA rows
+//! The block-sparse plan is additionally re-measured on a plan built with
+//! the scalar kernel table (`SweepPlan::with_kernels` with
+//! `picbench_math::simd::scalar_kernels`), producing per-ISA rows
 //! (`plan_by_isa`) and the `simd_speedup` of the detected vector tier
-//! over scalar; the report records the active tier in `simd_level`.
+//! over scalar; the report records the default tier in `simd_level`.
+//!
+//! The `port-elimination` rows time the naive Filipsson oracle: it has no
+//! optimized planned form, so its plan path only skips re-assembling the
+//! memoized models.
 //!
 //! The median over `--reps` repetitions is reported; every backend is
 //! cross-checked against the naive dense reference (the
@@ -49,7 +53,7 @@
 //!
 //! [`sweep`]: picbench_sim::sweep
 
-use picbench_math::simd::{active_level, with_forced_scalar, SimdLevel};
+use picbench_math::simd::{active_level, scalar_kernels, SimdLevel};
 use picbench_math::{decomp, CMatrix};
 use picbench_problems::meshes::mesh_netlist;
 use picbench_sim::{
@@ -73,8 +77,8 @@ struct BackendResult {
     backend: Backend,
     naive_ms: f64,
     plan_ms: f64,
-    /// The same plan loop with kernel dispatch forced to the scalar
-    /// tier — block-sparse only, `None` when the ambient tier already
+    /// The same plan loop on a plan built with the scalar kernel
+    /// table — block-sparse only, `None` when the default tier already
     /// is scalar (the row would duplicate `plan_ms`).
     scalar_plan_ms: Option<f64>,
     max_abs_diff_vs_naive: f64,
@@ -228,14 +232,14 @@ fn main() {
                         .map(|_| CMatrix::zeros(n_ext, n_ext))
                         .collect();
                     let t = Instant::now();
-                    with_forced_scalar(|| {
-                        let plan = SweepPlan::new(&circuit, backend).expect("plan builds");
-                        let mut ws = plan.workspace();
-                        for (k, &wl) in wavelengths.iter().enumerate() {
-                            plan.evaluate_into(&mut ws, wl, &mut scalar_outs[k])
-                                .expect("forced-scalar point solve");
-                        }
-                    });
+                    let plan = SweepPlan::new(&circuit, backend)
+                        .expect("plan builds")
+                        .with_kernels(scalar_kernels());
+                    let mut ws = plan.workspace();
+                    for (k, &wl) in wavelengths.iter().enumerate() {
+                        plan.evaluate_into(&mut ws, wl, &mut scalar_outs[k])
+                            .expect("scalar-table point solve");
+                    }
                     scalar_ms.push(t.elapsed().as_secs_f64() * 1e3);
                     // The cross-tier contract (FMA contraction only):
                     // the `simd` conformance axis tolerance.
@@ -245,7 +249,7 @@ fn main() {
                     }
                     assert!(
                         tier_diff < 1e-9,
-                        "{backend}: {} tier disagrees with forced scalar by {tier_diff:.3e}",
+                        "{backend}: {} tier disagrees with the scalar table by {tier_diff:.3e}",
                         active_level().token()
                     );
                 }
@@ -331,7 +335,7 @@ fn main() {
                 results_json.push_str(",\n");
             }
             // Per-ISA rows: the plan time under each measured dispatch
-            // tier, plus the vector tier's speedup over forced scalar.
+            // tier, plus the vector tier's speedup over the scalar table.
             let isa_json = match r.scalar_plan_ms {
                 Some(s) => format!(
                     ",\n          \"plan_by_isa\": {{\n            \"scalar\": {:.3},\n            \

@@ -18,6 +18,8 @@
 
 #![warn(missing_docs)]
 
+pub mod baseline;
+
 use picbench_core::{
     collect_error_histogram, render_table, restriction_ablation, run_sample, Campaign,
     CampaignConfig, CampaignEvent, CampaignReport, EvalStore, Evaluator, LoopConfig,
@@ -547,6 +549,26 @@ mod tests {
         })
         .unwrap_err();
         assert!(err.contains("warp-core"));
+    }
+
+    /// Pins the default-seed Tables III and IV byte for byte, through
+    /// the FNV-1a digests of their rendered text (the same digests the
+    /// end-to-end benchmark checks), so a solver or default change can
+    /// never move a paper table silently.
+    #[test]
+    fn default_seed_tables_match_their_recorded_digests() {
+        let scale = ReproScale::default();
+        let digest = |table: String| picbench_store::fnv1a64(table.as_bytes());
+        assert_eq!(
+            digest(table3(&scale).unwrap()),
+            0x8b0a_340e_cad8_f738,
+            "Table III moved"
+        );
+        assert_eq!(
+            digest(table4(&scale).unwrap()),
+            0x0b27_89db_a91a_1842,
+            "Table IV moved"
+        );
     }
 
     #[test]

@@ -7,13 +7,21 @@
 //!
 //! | axis | compared paths | agreement |
 //! |------|----------------|-----------|
-//! | `backends` | every `Backend::ALL` algorithm (dense solve, block-sparse solve) vs port elimination | ≤ `backend_tol` |
-//! | `constant-fold` | fold enabled vs disabled | bit-identical |
-//! | `parallelism` | serial sweep vs 3-worker sweep | bit-identical |
-//! | `cache` | cold, cached-cold and cached-hit evaluator | bit-identical |
+//! | `backends` | every solver backend (dense, block-sparse) vs the port-elimination oracle | ≤ `backend_tol` |
+//! | `constant-fold` | fold enabled vs disabled, every backend | bit-identical |
+//! | `parallelism` | serial sweep vs 3-worker sweep, default backend | bit-identical |
+//! | `cache` | cold, cached-cold and cached-hit evaluator, default backend | bit-identical |
 //! | `canonicalization` | raw vs canonicalized document | bit-identical via the evaluator, ≤ `backend_tol` direct |
-//! | `naive-sweep` | per-point rebuild vs planned pipeline | ≤ `naive_tol` |
-//! | `simd` | block-sparse sweep, ambient SIMD tier vs forced scalar | ≤ `simd_tol` |
+//! | `naive-sweep` | per-point rebuild vs planned pipeline, every backend | ≤ `naive_tol` |
+//! | `simd` | block-sparse plan on the default kernel table vs one on the scalar table | ≤ `simd_tol` |
+//!
+//! The reference every tolerance-gated axis compares against is the
+//! port-elimination oracle ([`Backend::PortElimination`]), the one
+//! composition algorithm that needs no linear solve. The axes that pin
+//! execution strategies (parallelism, cache) run the production default,
+//! [`Backend::BlockSparse`]. Kernel tables are plan options, not process
+//! state, so every axis can run on any thread concurrently with any
+//! other.
 //!
 //! A failed comparison produces a [`Disagreement`]; [`DiffRunner::shrink`]
 //! then greedily minimizes the circuit while the disagreement reproduces,
@@ -27,11 +35,12 @@
 
 use crate::shrink::shrink_netlist;
 use picbench_core::{EvalCache, Evaluator};
+use picbench_math::simd::{self, Kernels};
 use picbench_netlist::{Netlist, PortSpec};
 use picbench_problems::{Category, Problem};
 use picbench_sim::{
     sweep_naive, sweep_parallel, sweep_serial, sweep_with_plan, Backend, Circuit,
-    FrequencyResponse, ModelRegistry, SweepPlan, WavelengthGrid,
+    FrequencyResponse, ModelRegistry, SimError, SweepPlan, WavelengthGrid,
 };
 use std::fmt;
 use std::str::FromStr;
@@ -53,8 +62,8 @@ pub enum DiffAxis {
     Canonicalization,
     /// Naive per-point rebuild vs the planned pipeline.
     NaiveSweep,
-    /// Block-sparse sweep under the ambient SIMD dispatch tier vs the
-    /// same sweep forced to the scalar kernels. The vector tiers
+    /// Block-sparse sweep on the default SIMD kernel table vs the same
+    /// sweep on a plan built with the scalar table. The vector tiers
     /// contract multiply-adds into FMAs, so agreement is
     /// tolerance-gated rather than bit-exact; within one tier the sweep
     /// stays deterministic.
@@ -193,7 +202,7 @@ impl DiffRunner {
         self
     }
 
-    /// Overrides the SIMD-vs-forced-scalar tolerance.
+    /// Overrides the default-table-vs-scalar-table tolerance.
     pub fn with_simd_tol(mut self, tol: f64) -> Self {
         self.simd_tol = tol;
         self
@@ -246,7 +255,7 @@ impl DiffRunner {
         match axis {
             DiffAxis::Backends => self.check_backends(netlist, &circuit, &reference),
             DiffAxis::ConstantFold => self.check_constant_fold(&circuit),
-            DiffAxis::Parallelism => self.check_parallelism(&circuit, &reference),
+            DiffAxis::Parallelism => self.check_parallelism(&circuit),
             DiffAxis::Cache => self.check_cache(netlist),
             DiffAxis::Canonicalization => self.check_canonicalization(netlist, &reference),
             DiffAxis::NaiveSweep => self.check_naive(&circuit, &reference),
@@ -303,20 +312,17 @@ impl DiffRunner {
         Ok(())
     }
 
-    fn check_parallelism(
-        &self,
-        circuit: &Circuit,
-        reference: &FrequencyResponse,
-    ) -> Result<(), Disagreement> {
-        let parallel =
-            sweep_parallel(circuit, &self.grid, Backend::PortElimination, 3).map_err(|e| {
-                Disagreement {
-                    axis: DiffAxis::Parallelism,
-                    max_diff: f64::INFINITY,
-                    detail: format!("parallel sweep failed where serial succeeded: {e}"),
-                }
-            })?;
-        bit_identical(DiffAxis::Parallelism, reference, &parallel)
+    fn check_parallelism(&self, circuit: &Circuit) -> Result<(), Disagreement> {
+        let failed = |what: &str, e: SimError| Disagreement {
+            axis: DiffAxis::Parallelism,
+            max_diff: f64::INFINITY,
+            detail: format!("{what} sweep failed where the reference succeeded: {e}"),
+        };
+        let serial = sweep_serial(circuit, &self.grid, Backend::default())
+            .map_err(|e| failed("serial", e))?;
+        let parallel = sweep_parallel(circuit, &self.grid, Backend::default(), 3)
+            .map_err(|e| failed("parallel", e))?;
+        bit_identical(DiffAxis::Parallelism, &serial, &parallel)
     }
 
     fn check_cache(&self, netlist: &Netlist) -> Result<(), Disagreement> {
@@ -331,11 +337,11 @@ impl DiffRunner {
                     ),
                 })
         };
-        let mut cold = Evaluator::new(self.grid, Backend::PortElimination);
+        let mut cold = Evaluator::new(self.grid, Backend::default());
         let cold_response = eval(&mut cold)?;
         let cache = Arc::new(EvalCache::new());
         let mut cached =
-            Evaluator::new(self.grid, Backend::PortElimination).with_cache(Arc::clone(&cache));
+            Evaluator::new(self.grid, Backend::default()).with_cache(Arc::clone(&cache));
         let miss_response = eval(&mut cached)?;
         let hit_response = eval(&mut cached)?;
         let stats = cache.stats();
@@ -359,7 +365,7 @@ impl DiffRunner {
         // The evaluator pipeline simulates canonical forms: raw and
         // canonical documents must produce the same bits.
         let problem = self.as_problem(netlist);
-        let mut ev = Evaluator::new(self.grid, Backend::PortElimination);
+        let mut ev = Evaluator::new(self.grid, Backend::default());
         let via_raw = ev.candidate_response(&problem, netlist);
         let via_canonical = ev.candidate_response(&problem, &canonical);
         match (via_raw, via_canonical) {
@@ -436,27 +442,23 @@ impl DiffRunner {
     }
 
     fn check_simd(&self, circuit: &Circuit) -> Result<(), Disagreement> {
-        // The block-sparse backend is the only composition path that
-        // dispatches through the runtime-selected SIMD kernel table, so
-        // it carries the whole axis: one sweep under the ambient tier
-        // (AVX-512/AVX2/NEON where detected, scalar under
-        // `PICBENCH_FORCE_SCALAR=1` — the comparison is then vacuously
-        // exact), one with dispatch pinned to the scalar kernels.
-        let ambient =
-            sweep_serial(circuit, &self.grid, Backend::BlockSparse).map_err(|e| Disagreement {
-                axis: DiffAxis::Simd,
-                max_diff: f64::INFINITY,
-                detail: format!("block-sparse sweep failed under the ambient SIMD tier: {e}"),
-            })?;
-        let scalar = picbench_math::simd::with_forced_scalar(|| {
-            sweep_serial(circuit, &self.grid, Backend::BlockSparse)
-        })
-        .map_err(|e| Disagreement {
-            axis: DiffAxis::Simd,
-            max_diff: f64::INFINITY,
-            detail: format!("block-sparse sweep failed under forced-scalar dispatch: {e}"),
-        })?;
-        close_enough(DiffAxis::Simd, &scalar, &ambient, self.simd_tol)
+        // The block-sparse backend is the only composition path that runs
+        // on a SIMD kernel table, so it carries the whole axis: one plan
+        // on the default table (AVX-512/AVX2/NEON where detected, scalar
+        // under `PICBENCH_FORCE_SCALAR=1` — the comparison is then
+        // vacuously exact), one built on the scalar table.
+        let run = |kernels: &'static Kernels, tier: &str| {
+            SweepPlan::new(circuit, Backend::BlockSparse)
+                .and_then(|plan| sweep_with_plan(&plan.with_kernels(kernels), &self.grid, 1))
+                .map_err(|e| Disagreement {
+                    axis: DiffAxis::Simd,
+                    max_diff: f64::INFINITY,
+                    detail: format!("block-sparse sweep failed on the {tier} kernel table: {e}"),
+                })
+        };
+        let default = run(simd::default_kernels(), "default")?;
+        let scalar = run(simd::scalar_kernels(), "scalar")?;
+        close_enough(DiffAxis::Simd, &scalar, &default, self.simd_tol)
     }
 
     /// Wraps a netlist as a self-golden problem so it can flow through
@@ -600,6 +602,48 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn simd_and_constant_fold_axes_hold_on_concurrent_threads() {
+        // Regression: the kernel table used to be a process-wide switch,
+        // so a `simd` check forcing the scalar tier on one thread swapped
+        // the kernels under a `constant-fold` check on another, and its
+        // bit-identical halves diverged in the last bits. Tables are plan
+        // options now; run both axes side by side on many threads.
+        const THREADS: usize = 8;
+        let netlists: Vec<Netlist> = Family::ALL
+            .iter()
+            .flat_map(|&family| {
+                let strategy = CircuitStrategy::family(family);
+                let mut rng = TestRng::new(77);
+                (0..2)
+                    .map(|_| strategy.generate(&mut rng).netlist)
+                    .collect::<Vec<_>>()
+            })
+            .collect();
+        let runner = DiffRunner::default();
+        let start = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|scope| {
+            for worker in 0..THREADS {
+                let axis = if worker % 2 == 0 {
+                    DiffAxis::Simd
+                } else {
+                    DiffAxis::ConstantFold
+                };
+                let (runner, netlists, start) = (&runner, &netlists, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for _ in 0..3 {
+                        for netlist in netlists {
+                            if let Err(d) = runner.check_axis(netlist, axis) {
+                                panic!("{d}\n{}", netlist.to_json_string());
+                            }
+                        }
+                    }
+                });
+            }
+        });
     }
 
     /// A stand-in solver bug: corrupts the Dense response of any circuit

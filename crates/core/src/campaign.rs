@@ -13,9 +13,8 @@
 //!   shared immutably across all workers;
 //! * work is distributed at the granularity of
 //!   `(problem × model × feedback)` **cells** claimed from an atomic
-//!   queue ([`CampaignGrain::PerCell`], the default) — a straggler
-//!   problem no longer idles the rest of the machine, and the worker
-//!   count is no longer capped by the problem count;
+//!   queue — a straggler problem does not idle the rest of the machine,
+//!   and the worker count is not capped by the problem count;
 //! * all workers share one sharded, content-addressed [`EvalCache`], so
 //!   structurally identical candidates (identical first attempts across
 //!   feedback settings, retries converging to the golden, clean samples
@@ -28,8 +27,8 @@
 //! ([`ModelProvider::spawn_seeded`] with the campaign seed); because the
 //! synthetic models reseed per `(model, problem, sample)` and cached
 //! replay is bit-identical to cold evaluation, the resulting
-//! [`CampaignReport`] is **bit-identical** for any thread count, either
-//! grain, with the cache on or off, and across the builder and legacy
+//! [`CampaignReport`] is **bit-identical** for any thread count, with
+//! the cache on or off, and across the builder and legacy
 //! [`run_campaign`] entry points. Aggregation iterates cells in a fixed
 //! problem-major order, never in hash-map order.
 //!
@@ -61,20 +60,6 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Work-distribution granularity of [`run_campaign`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CampaignGrain {
-    /// One work unit per `(problem × model × feedback)` cell; workers
-    /// sweep serially. The default, and the fastest on loaded hosts.
-    #[default]
-    PerCell,
-    /// One work unit per problem (each worker runs all models × feedback
-    /// settings for its problem, sweeping with the simulator's default
-    /// parallelism) — the pre-cache engine, kept as the benchmark
-    /// baseline. Caps useful workers at the problem count.
-    PerProblem,
-}
-
 /// Campaign-wide configuration.
 #[derive(Debug, Clone)]
 pub struct CampaignConfig {
@@ -90,17 +75,10 @@ pub struct CampaignConfig {
     pub seed: u64,
     /// Wavelength grid for simulation/comparison.
     pub grid: WavelengthGrid,
-    /// Worker threads (0 = one per available core, capped by work units).
+    /// Worker threads (0 = one per available core, capped by cells).
     pub threads: usize,
-    /// Work-distribution granularity.
-    pub grain: CampaignGrain,
     /// Whether workers share a content-addressed evaluation cache.
     pub cache: bool,
-    /// Reproduce the PR-1 sweep semantics inside workers: no
-    /// constant-response fold, per-sweep internal parallelism. Results
-    /// are bit-identical either way; this exists so benchmarks can time
-    /// the historical baseline engine in the current tree.
-    pub legacy_sweeps: bool,
     /// Retry policy wrapped around every provider at execute time
     /// (`None` = no retry layer). The wrapped providers keep their
     /// display names, so report rows are unchanged; retry decisions
@@ -119,9 +97,7 @@ impl Default for CampaignConfig {
             seed: 20_250_205, // the paper's arXiv date
             grid: WavelengthGrid::paper_fast(),
             threads: 0,
-            grain: CampaignGrain::PerCell,
             cache: true,
-            legacy_sweeps: false,
             retry: None,
         }
     }
@@ -450,8 +426,7 @@ impl Campaign {
     /// retry policy. Journal records are keyed by it, so a store can
     /// hold journals of many campaigns and a resumed run only replays
     /// cells whose inputs provably match. Scheduling knobs (threads,
-    /// grain, cache) and `k_values` are excluded — they cannot change
-    /// tallies.
+    /// cache) and `k_values` are excluded — they cannot change tallies.
     pub fn fingerprint(&self) -> u64 {
         let names: Vec<String> = self
             .providers
@@ -593,22 +568,9 @@ impl CampaignBuilder {
         self
     }
 
-    /// Work-distribution granularity.
-    pub fn grain(mut self, grain: CampaignGrain) -> Self {
-        self.config_mut().grain = grain;
-        self
-    }
-
     /// Whether workers share a content-addressed evaluation cache.
     pub fn cache(mut self, cache: bool) -> Self {
         self.config_mut().cache = cache;
-        self
-    }
-
-    /// Reproduce the PR-1 sweep semantics inside workers (benchmarking
-    /// baseline; results are bit-identical either way).
-    pub fn legacy_sweeps(mut self, legacy: bool) -> Self {
-        self.config_mut().legacy_sweeps = legacy;
         self
     }
 
@@ -1102,16 +1064,8 @@ fn execute_campaign(
     let halted = || killed.load(Ordering::Acquire) || cancel.is_some_and(CancelToken::is_cancelled);
     let provider_names: Vec<String> = providers.iter().map(|p| p.name().to_string()).collect();
 
-    // Cells in problem-major order; `PerProblem` groups each problem's
-    // contiguous run of cells into one work unit.
-    let per_problem = providers.len() * config.feedback_iters.len();
+    // Cells in problem-major order, each its own work unit.
     let cells = matrix_cells(problems.len(), providers.len(), config.feedback_iters.len());
-    let units: Vec<std::ops::Range<usize>> = match config.grain {
-        CampaignGrain::PerCell => (0..cells.len()).map(|i| i..i + 1).collect(),
-        CampaignGrain::PerProblem => (0..problems.len())
-            .map(|p| p * per_problem..(p + 1) * per_problem)
-            .collect(),
-    };
 
     emit(CampaignEvent::CampaignStarted {
         problems: problems.len(),
@@ -1224,18 +1178,10 @@ fn execute_campaign(
             .map(|n| n.get())
             .unwrap_or(4)
     }
-    .min(units.len())
+    .min(cells.len())
     .max(1);
-    let sweep_threads = if config.legacy_sweeps {
-        0
-    } else {
-        match config.grain {
-            CampaignGrain::PerCell => 1,
-            CampaignGrain::PerProblem => 0,
-        }
-    };
 
-    let next_unit = AtomicUsize::new(0);
+    let next_cell = AtomicUsize::new(0);
     let completed = AtomicUsize::new(cells_restored);
     let fresh = AtomicUsize::new(0);
     let store_degraded_reported = AtomicBool::new(false);
@@ -1249,8 +1195,7 @@ fn execute_campaign(
             scope.spawn(|| {
                 let mut evaluator = Evaluator::new(config.grid, Backend::default())
                     .with_shared_goldens(Arc::clone(&goldens))
-                    .with_sweep_threads(sweep_threads)
-                    .with_constant_fold(!config.legacy_sweeps);
+                    .with_sweep_threads(1);
                 if let Some(cache) = &cache {
                     evaluator = evaluator.with_cache(Arc::clone(cache));
                 }
@@ -1258,71 +1203,66 @@ fn execute_campaign(
                     evaluator = evaluator.with_cache_scope(Arc::clone(scope));
                 }
                 let mut local: Vec<(usize, ProblemTally)> = Vec::new();
-                'units: loop {
+                loop {
+                    // Cooperative abort at cell boundaries: a started
+                    // cell always finishes (and emits CellFinished), so
+                    // the event stream stays well-formed.
                     if halted() {
                         break;
                     }
-                    let unit = next_unit.fetch_add(1, Ordering::Relaxed);
-                    if unit >= units.len() {
+                    let cell_index = next_cell.fetch_add(1, Ordering::Relaxed);
+                    if cell_index >= cells.len() {
                         break;
                     }
-                    for cell_index in units[unit].clone() {
-                        // Cooperative abort at cell boundaries: a started
-                        // cell always finishes (and emits CellFinished),
-                        // so the event stream stays well-formed.
-                        if halted() {
-                            break 'units;
+                    // Restored cells were replayed up front.
+                    if restored[cell_index].is_some() {
+                        continue;
+                    }
+                    let cell = cells[cell_index];
+                    let problem = &problems[cell.problem];
+                    let feedback_iters = config.feedback_iters[cell.ef_idx];
+                    emit(CampaignEvent::CellStarted {
+                        problem_id: problem.id.clone(),
+                        model: provider_names[cell.profile].clone(),
+                        feedback_iters,
+                    });
+                    let tally = evaluate_cell(
+                        &providers[cell.profile],
+                        problem,
+                        feedback_iters,
+                        config,
+                        &mut evaluator,
+                    );
+                    // Durability barrier: the cell's journal record
+                    // is written and fsync'd *before* the cell is
+                    // counted complete, so any crash after this
+                    // point leaves a resumable journal.
+                    if let Some(store) = store {
+                        if !store.record_cell(fingerprint, cell_keys[cell_index], &tally)
+                            && !store_degraded_reported.swap(true, Ordering::AcqRel)
+                        {
+                            emit(CampaignEvent::StoreDegraded {
+                                write_errors: store.write_errors(),
+                            });
                         }
-                        // Restored cells were replayed up front.
-                        if restored[cell_index].is_some() {
-                            continue;
-                        }
-                        let cell = cells[cell_index];
-                        let problem = &problems[cell.problem];
-                        let feedback_iters = config.feedback_iters[cell.ef_idx];
-                        emit(CampaignEvent::CellStarted {
-                            problem_id: problem.id.clone(),
-                            model: provider_names[cell.profile].clone(),
-                            feedback_iters,
-                        });
-                        let tally = evaluate_cell(
-                            &providers[cell.profile],
-                            problem,
-                            feedback_iters,
-                            config,
-                            &mut evaluator,
-                        );
-                        // Durability barrier: the cell's journal record
-                        // is written and fsync'd *before* the cell is
-                        // counted complete, so any crash after this
-                        // point leaves a resumable journal.
-                        if let Some(store) = store {
-                            if !store.record_cell(fingerprint, cell_keys[cell_index], &tally)
-                                && !store_degraded_reported.swap(true, Ordering::AcqRel)
-                            {
-                                emit(CampaignEvent::StoreDegraded {
-                                    write_errors: store.write_errors(),
-                                });
-                            }
-                        }
-                        let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
-                        emit(CampaignEvent::CellFinished {
-                            problem_id: problem.id.clone(),
-                            model: provider_names[cell.profile].clone(),
-                            feedback_iters,
-                            tally,
-                            completed: done,
-                            total: cells.len(),
-                        });
-                        local.push((cell_index, tally));
-                        if let Some(kill) = kill {
-                            if fresh.fetch_add(1, Ordering::Relaxed) + 1 >= kill.after_cells() {
-                                match kill {
-                                    KillPoint::Stop { .. } => {
-                                        killed.store(true, Ordering::Release);
-                                    }
-                                    KillPoint::Abort { .. } => std::process::abort(),
+                    }
+                    let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
+                    emit(CampaignEvent::CellFinished {
+                        problem_id: problem.id.clone(),
+                        model: provider_names[cell.profile].clone(),
+                        feedback_iters,
+                        tally,
+                        completed: done,
+                        total: cells.len(),
+                    });
+                    local.push((cell_index, tally));
+                    if let Some(kill) = kill {
+                        if fresh.fetch_add(1, Ordering::Relaxed) + 1 >= kill.after_cells() {
+                            match kill {
+                                KillPoint::Stop { .. } => {
+                                    killed.store(true, Ordering::Release);
                                 }
+                                KillPoint::Abort { .. } => std::process::abort(),
                             }
                         }
                     }
@@ -1456,31 +1396,24 @@ mod tests {
     }
 
     #[test]
-    fn report_is_identical_across_grains_and_cache_settings() {
+    fn report_is_identical_with_and_without_cache() {
         let profiles = vec![ModelProfile::gpt4(), ModelProfile::claude35_sonnet()];
         let problems = small_problems();
         let reference = run_campaign(&profiles, &problems, &small_config());
         assert!(reference.cache_stats.is_some());
-        for (grain, cache) in [
-            (CampaignGrain::PerCell, false),
-            (CampaignGrain::PerProblem, true),
-            (CampaignGrain::PerProblem, false),
-        ] {
-            let other = run_campaign(
-                &profiles,
-                &problems,
-                &CampaignConfig {
-                    grain,
-                    cache,
-                    ..small_config()
-                },
-            );
-            assert!(
-                reference.same_results(&other),
-                "grain {grain:?} / cache {cache} changed the report"
-            );
-            assert_eq!(other.cache_stats.is_some(), cache);
-        }
+        let uncached = run_campaign(
+            &profiles,
+            &problems,
+            &CampaignConfig {
+                cache: false,
+                ..small_config()
+            },
+        );
+        assert!(
+            reference.same_results(&uncached),
+            "turning the cache off changed the report"
+        );
+        assert!(uncached.cache_stats.is_none());
     }
 
     #[test]

@@ -74,8 +74,8 @@ pub mod supervisor;
 mod trace;
 
 pub use campaign::{
-    run_campaign, Campaign, CampaignBuildError, CampaignBuilder, CampaignConfig, CampaignGrain,
-    CampaignOutcome, CampaignReport, CellScore, ConditionTallies, KillPoint,
+    run_campaign, Campaign, CampaignBuildError, CampaignBuilder, CampaignConfig, CampaignOutcome,
+    CampaignReport, CellScore, ConditionTallies, KillPoint,
 };
 pub use evaluate::{
     CacheScope, EvalCache, EvalCacheStats, EvalReport, Evaluator, DEFAULT_FUNCTIONAL_TOLERANCE,

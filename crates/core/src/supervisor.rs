@@ -584,11 +584,9 @@ fn shard_worker_body(
     }
 
     let providers = wrap_retry_providers(&workload.providers, cfg, None);
-    let sweep_threads = if cfg.legacy_sweeps { 0 } else { 1 };
     let mut evaluator = Evaluator::new(cfg.grid, Backend::default())
         .with_shared_goldens(goldens)
-        .with_sweep_threads(sweep_threads)
-        .with_constant_fold(!cfg.legacy_sweeps);
+        .with_sweep_threads(1);
     if let Some(cache) = &cache {
         evaluator = evaluator.with_cache(Arc::clone(cache));
     }

@@ -92,7 +92,7 @@ proptest! {
         points in 2usize..24,
         backend_flip in any::<bool>(),
     ) {
-        let backend = if backend_flip { Backend::Dense } else { Backend::PortElimination };
+        let backend = if backend_flip { Backend::Dense } else { Backend::default() };
         let grid = WavelengthGrid::new(1.51, 1.59, points);
         let problem = problem();
         let netlist = random_mzi(arm_top, arm_bottom, perm);

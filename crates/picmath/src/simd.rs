@@ -18,10 +18,17 @@
 //! [`crate::sparse`] uses so whole block rows are contiguous — runs
 //! through the same bodies as a packed block.
 //!
-//! [`kernels`] selects the widest available implementation once per
-//! process (cached), honouring the `PICBENCH_FORCE_SCALAR=1` environment
-//! override (read once, at first use) and the programmatic
-//! [`with_forced_scalar`] scope used by differential tests.
+//! A [`Kernels`] table is a plain `&'static` value, chosen once when a
+//! factor workspace or sweep plan is built and passed down explicitly;
+//! nothing in the dispatch path reads process-wide mutable state, so
+//! plans built on different tables can run side by side on any number
+//! of threads. [`default_kernels`] is the widest tier the CPU supports
+//! (detected once per process); the `PICBENCH_FORCE_SCALAR=1`
+//! environment variable (read once, at first use) only changes which
+//! table that default is. [`scalar_kernels`] is the reference table,
+//! passed explicitly where a caller needs the scalar arithmetic — the
+//! differential tests, the `simd` conformance axis and per-ISA
+//! benchmark rows.
 //!
 //! ## Lane order and numerical contract
 //!
@@ -47,8 +54,8 @@
 //!   rounding per product (≤ 1 ulp locally, and usually *more*
 //!   accurate), so SIMD and scalar results may differ in the last bits.
 //!   The deviation is bounded and gated — the `simd` conformance axis
-//!   sweeps every generator family differentially against
-//!   [`with_forced_scalar`] under a tight tolerance, and this module's
+//!   sweeps every generator family differentially against a plan built
+//!   on [`scalar_kernels`] under a tight tolerance, and this module's
 //!   tests bound each kernel against its scalar instantiation.
 //! * Zero-coefficient skips test `f.re == 0.0 && f.im == 0.0`, the same
 //!   predicate as the scalar `f == Complex::ZERO`, independent of lane
@@ -56,12 +63,11 @@
 //!
 //! Within one tier, results are deterministic and bit-stable: refactor
 //! and re-solve reproduce identical bits, and serial vs parallel sweeps
-//! stay element-wise identical (every worker dispatches the same tier).
+//! stay element-wise identical (every worker uses its plan's table).
 
 use crate::Complex;
 use std::fmt;
 use std::str::FromStr;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// An instruction-set tier the kernels can run on.
@@ -148,8 +154,9 @@ type AxpyFn = unsafe fn(
 );
 
 /// A dispatched kernel table: one entry per hot operation, resolved to
-/// the selected instruction set. Obtain via [`kernels`]; the safe methods
-/// check shapes and wrap the raw calls.
+/// one instruction set. Obtain via [`default_kernels`] or
+/// [`scalar_kernels`]; the safe methods check shapes and wrap the raw
+/// calls.
 pub struct Kernels {
     level: SimdLevel,
     gemm_sub: GemmSubFn,
@@ -1178,9 +1185,6 @@ static NEON_KERNELS: Kernels = Kernels {
     axpy_add: neon::axpy_add,
 };
 
-/// Nesting depth of [`with_forced_scalar`] scopes (process-wide).
-static FORCE_SCALAR_DEPTH: AtomicUsize = AtomicUsize::new(0);
-
 fn detect() -> SimdLevel {
     #[cfg(target_arch = "x86_64")]
     {
@@ -1206,10 +1210,10 @@ fn detect() -> SimdLevel {
     }
 }
 
-/// The widest tier this process may use: runtime CPU detection, capped to
-/// scalar when `PICBENCH_FORCE_SCALAR` is set to anything but `0`/empty
-/// in the environment (read once, at first call).
-pub fn available_level() -> SimdLevel {
+/// The tier of the default kernel table: runtime CPU detection, capped
+/// to scalar when `PICBENCH_FORCE_SCALAR` is set to anything but
+/// `0`/empty in the environment (read once, at first call).
+pub fn active_level() -> SimdLevel {
     static LEVEL: OnceLock<SimdLevel> = OnceLock::new();
     *LEVEL.get_or_init(|| {
         let env_forced =
@@ -1222,38 +1226,10 @@ pub fn available_level() -> SimdLevel {
     })
 }
 
-/// The tier the *next* kernel dispatch will use: [`available_level`],
-/// overridden to scalar inside any [`with_forced_scalar`] scope.
-pub fn active_level() -> SimdLevel {
-    if FORCE_SCALAR_DEPTH.load(Ordering::Acquire) > 0 {
-        SimdLevel::Scalar
-    } else {
-        available_level()
-    }
-}
-
-/// Runs `f` with kernel dispatch forced to the scalar tier (process-wide,
-/// re-entrant, panic-safe). The scope exists so differential tests and
-/// the `simd` conformance axis can compare the reference and vector
-/// paths deliberately; since the override is process-wide, callers that
-/// need a *pure* vector-tier run should not overlap it with one (results
-/// would still agree within the FMA-contraction tolerance, but not bit
-/// for bit).
-pub fn with_forced_scalar<R>(f: impl FnOnce() -> R) -> R {
-    struct Guard;
-    impl Drop for Guard {
-        fn drop(&mut self) {
-            FORCE_SCALAR_DEPTH.fetch_sub(1, Ordering::Release);
-        }
-    }
-    FORCE_SCALAR_DEPTH.fetch_add(1, Ordering::Acquire);
-    let _guard = Guard;
-    f()
-}
-
-/// The kernel table for [`active_level`] — resolved per call (two atomic
-/// loads), so a [`with_forced_scalar`] scope takes effect immediately.
-pub fn kernels() -> &'static Kernels {
+/// The default kernel table: the widest tier of [`active_level`]. Plans
+/// and factor workspaces pick it up at construction unless they are
+/// given another table explicitly.
+pub fn default_kernels() -> &'static Kernels {
     match active_level() {
         SimdLevel::Scalar => &SCALAR_KERNELS,
         #[cfg(target_arch = "x86_64")]
@@ -1267,6 +1243,14 @@ pub fn kernels() -> &'static Kernels {
         #[allow(unreachable_patterns)]
         _ => &SCALAR_KERNELS,
     }
+}
+
+/// The scalar reference table, available on every platform — the table
+/// to pass where a plan must run the reference arithmetic regardless of
+/// the host (differential tests, the `simd` conformance axis, per-ISA
+/// benchmark rows).
+pub fn scalar_kernels() -> &'static Kernels {
+    &SCALAR_KERNELS
 }
 
 #[cfg(test)]
@@ -1305,16 +1289,9 @@ mod tests {
     }
 
     #[test]
-    fn forced_scalar_scope_overrides_and_restores() {
-        let ambient = active_level();
-        with_forced_scalar(|| {
-            assert_eq!(active_level(), SimdLevel::Scalar);
-            assert_eq!(kernels().level(), SimdLevel::Scalar);
-            // Re-entrant.
-            with_forced_scalar(|| assert_eq!(active_level(), SimdLevel::Scalar));
-            assert_eq!(active_level(), SimdLevel::Scalar);
-        });
-        assert_eq!(active_level(), ambient);
+    fn default_table_follows_the_active_level() {
+        assert_eq!(default_kernels().level(), active_level());
+        assert_eq!(scalar_kernels().level(), SimdLevel::Scalar);
     }
 
     /// Element-wise closeness bound for the SIMD-vs-scalar comparisons:
@@ -1337,7 +1314,7 @@ mod tests {
     /// the masked lane tail, zero coefficients and signed zeros.
     #[test]
     fn simd_kernels_match_scalar_within_contraction_tolerance() {
-        let wide = kernels();
+        let wide = default_kernels();
         if wide.level() == SimdLevel::Scalar {
             return; // nothing to differentiate on this host
         }
@@ -1453,7 +1430,7 @@ mod tests {
             .zip(&ci)
             .map(|(&r, &i)| Complex::new(r, i))
             .collect();
-        kernels().gemm_sub(&mut cr, &mut ci, &ar, &ai, &br, &bi, m, k, n);
+        default_kernels().gemm_sub(&mut cr, &mut ci, &ar, &ai, &br, &bi, m, k, n);
         for r in 0..m {
             for t in 0..k {
                 let f = a[r * k + t];
@@ -1472,7 +1449,7 @@ mod tests {
     /// factor uses.
     #[test]
     fn strided_kernels_match_packed() {
-        let kern = kernels();
+        let kern = default_kernels();
         let (m, k, n) = (3usize, 4usize, 6usize);
         let (lda, ldb, ldc) = (9usize, 11usize, 8usize);
         let (ar_w, ai_w) = random_panel(m * lda, 41);

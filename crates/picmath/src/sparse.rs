@@ -24,15 +24,14 @@
 //!
 //! Values live in **split-complex (SoA) storage** — [`SplitComplexVec`],
 //! parallel real/imaginary `f64` arrays — so the panel-shaped hot loops
-//! (Schur-update GEMMs, triangular panel solves) run through the
-//! runtime-dispatched SIMD kernels of [`crate::simd`]. The tiny
-//! sequential kernels (within-block pivoted LU, row pivots, the
+//! (Schur-update GEMMs, triangular panel solves) run through the SIMD
+//! kernels of [`crate::simd`]. Each [`BlockSparseLu`] carries the
+//! [`Kernels`] table it was built with; nothing is looked up per call.
+//! The tiny sequential kernels (within-block pivoted LU, row pivots, the
 //! right-sided triangular solve) stay scalar: their blocks are a handful
-//! of entries wide and keeping them scalar keeps them trivially
-//! bit-identical. Every dispatched kernel is bit-identical to the scalar
-//! fallback by the lane-order contract documented in [`crate::simd`], so
-//! factorizations and solves produce the same bits on every instruction
-//! set (and under `PICBENCH_FORCE_SCALAR=1`).
+//! of entries wide. Within one table factorizations and solves are
+//! bit-deterministic; across tables they differ only by the FMA
+//! contraction documented in [`crate::simd`].
 //!
 //! One symbolic object serves every wavelength point of a sweep and every
 //! worker thread; each [`BlockSparseLu`] is cheap per-worker state whose
@@ -66,7 +65,8 @@
 //! # Ok::<(), picbench_math::SingularMatrixError>(())
 //! ```
 
-use crate::{simd, Complex, SingularMatrixError};
+use crate::simd::{self, Kernels};
+use crate::{Complex, SingularMatrixError};
 
 /// Split-complex (structure-of-arrays) storage: a logical `Vec<Complex>`
 /// held as two parallel `f64` arrays, one of real parts and one of
@@ -605,14 +605,17 @@ impl BlockSymbolic {
 /// shared [`BlockSymbolic`]; every buffer stops allocating once it
 /// reaches its high-water mark.
 ///
-/// The panel-shaped inner loops dispatch through [`crate::simd::kernels`]
-/// and are bit-identical across instruction sets; see the module docs.
+/// The panel-shaped inner loops dispatch through the [`Kernels`] table
+/// the workspace was built with ([`BlockSparseLu::with_kernels`]; the
+/// default table otherwise), so two workspaces on different tables can
+/// factor concurrently without affecting each other.
 #[derive(Debug)]
 pub struct BlockSparseLu {
     values: SplitComplexVec,
     pivots: Vec<usize>,
     scratch: SplitComplexVec,
     diag_inv: Vec<Complex>,
+    kernels: &'static Kernels,
 }
 
 impl Default for BlockSparseLu {
@@ -622,15 +625,31 @@ impl Default for BlockSparseLu {
 }
 
 impl BlockSparseLu {
-    /// An empty numeric workspace; size it with [`BlockSparseLu::reset`]
+    /// An empty numeric workspace on the default kernel table
+    /// ([`simd::default_kernels`]); size it with [`BlockSparseLu::reset`]
     /// or [`BlockSparseLu::load`] before assembling.
     pub fn new() -> Self {
+        BlockSparseLu::with_kernels(simd::default_kernels())
+    }
+
+    /// An empty numeric workspace whose factor and solve run on
+    /// `kernels` — e.g. [`simd::scalar_kernels`] for the reference
+    /// arithmetic.
+    pub fn with_kernels(kernels: &'static Kernels) -> Self {
         BlockSparseLu {
             values: SplitComplexVec::new(),
             pivots: Vec::new(),
             scratch: SplitComplexVec::new(),
             diag_inv: Vec::new(),
+            kernels,
         }
+    }
+
+    /// Switches the kernel table for subsequent factorizations and
+    /// solves, keeping every buffer — how a reused workspace adopts the
+    /// table of the plan it now serves.
+    pub fn set_kernels(&mut self, kernels: &'static Kernels) {
+        self.kernels = kernels;
     }
 
     /// Zeroes the value storage and sizes it for `sym`. Fill blocks start
@@ -683,7 +702,7 @@ impl BlockSparseLu {
         );
         self.pivots.clear();
         self.pivots.resize(sym.scalar_dim(), 0);
-        let kern = simd::kernels();
+        let kern = self.kernels;
         let n = sym.block_count();
         for k in 0..n {
             let sk = sym.sizes[k];
@@ -814,7 +833,7 @@ impl BlockSparseLu {
         if ncols == 0 || sym.scalar_dim() == 0 {
             return;
         }
-        let kern = simd::kernels();
+        let kern = self.kernels;
         let n = sym.block_count();
         let vr = &self.values.re;
         let vi = &self.values.im;
@@ -1161,12 +1180,9 @@ mod tests {
         assert_eq!(lu.values(), &first);
     }
 
-    #[test]
-    fn forced_scalar_factor_and_solve_agree_within_tolerance() {
-        // The vector tiers deviate from the scalar fallback only by FMA
-        // contraction (see `simd`'s module docs); verify end-to-end on a
-        // filled system that factor and solution stay within a tolerance
-        // far tighter than any structural divergence could produce.
+    /// A 3×3 grid of 3-port blocks with a fixed right-hand-side panel:
+    /// the assembled (unfactored) values, the structure and the panel.
+    fn filled_grid_system() -> (BlockSymbolic, SplitComplexVec, Vec<Complex>, usize) {
         let sizes = vec![3usize; 9];
         let mut edges = Vec::new();
         for r in 0..3 {
@@ -1180,25 +1196,43 @@ mod tests {
                 }
             }
         }
-        let (sym, mut lu, _) = random_system(&sizes, &edges, 21);
-        let baseline = lu.values().clone();
-        let nd = sym.scalar_dim();
+        let (sym, lu, _) = random_system(&sizes, &edges, 21);
         let ncols = 5;
         let mut next = rng(33);
-        let rhs: Vec<Complex> = (0..nd * ncols).map(|_| c(next(), next())).collect();
+        let rhs = (0..sym.scalar_dim() * ncols)
+            .map(|_| c(next(), next()))
+            .collect();
+        (sym, lu.values().clone(), rhs, ncols)
+    }
 
-        lu.factor(&sym).unwrap();
-        let simd_factor = lu.values().clone();
-        let mut simd_panel = SplitComplexVec::from_interleaved(&rhs);
-        lu.solve_in_place(&sym, &mut simd_panel, ncols);
+    /// Factors `baseline` and solves `rhs` on a fresh workspace built on
+    /// `kernels`, returning the factor and the solution.
+    fn factor_and_solve(
+        kernels: &'static Kernels,
+        sym: &BlockSymbolic,
+        baseline: &SplitComplexVec,
+        rhs: &[Complex],
+        ncols: usize,
+    ) -> (SplitComplexVec, SplitComplexVec) {
+        let mut lu = BlockSparseLu::with_kernels(kernels);
+        lu.load(baseline);
+        lu.factor(sym).unwrap();
+        let mut panel = SplitComplexVec::from_interleaved(rhs);
+        lu.solve_in_place(sym, &mut panel, ncols);
+        (lu.values().clone(), panel)
+    }
 
-        let (scalar_factor, scalar_panel) = simd::with_forced_scalar(|| {
-            lu.load(&baseline);
-            lu.factor(&sym).unwrap();
-            let mut panel = SplitComplexVec::from_interleaved(&rhs);
-            lu.solve_in_place(&sym, &mut panel, ncols);
-            (lu.values().clone(), panel)
-        });
+    #[test]
+    fn scalar_table_factor_and_solve_agree_within_tolerance() {
+        // The vector tiers deviate from the scalar fallback only by FMA
+        // contraction (see `simd`'s module docs); verify end-to-end on a
+        // filled system that factor and solution stay within a tolerance
+        // far tighter than any structural divergence could produce.
+        let (sym, baseline, rhs, ncols) = filled_grid_system();
+        let (simd_factor, simd_panel) =
+            factor_and_solve(simd::default_kernels(), &sym, &baseline, &rhs, ncols);
+        let (scalar_factor, scalar_panel) =
+            factor_and_solve(simd::scalar_kernels(), &sym, &baseline, &rhs, ncols);
 
         let close = |a: &SplitComplexVec, b: &SplitComplexVec, what: &str| {
             assert_eq!(a.len(), b.len());
@@ -1210,6 +1244,40 @@ mod tests {
         };
         close(&simd_factor, &scalar_factor, "factor");
         close(&simd_panel, &scalar_panel, "solution");
+    }
+
+    #[test]
+    fn workspaces_on_different_tables_factor_concurrently_bit_for_bit() {
+        // The kernel table is a property of each workspace, not of the
+        // process: a scalar-table and a vector-table workspace factoring
+        // the same matrix at the same time must each reproduce their own
+        // single-threaded bits exactly.
+        let (sym, baseline, rhs, ncols) = filled_grid_system();
+        let tables = [simd::scalar_kernels(), simd::default_kernels()];
+        let expected: Vec<_> = tables
+            .iter()
+            .map(|&k| factor_and_solve(k, &sym, &baseline, &rhs, ncols))
+            .collect();
+        let start = std::sync::Barrier::new(tables.len());
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = tables
+                .iter()
+                .map(|&kernels| {
+                    let (sym, baseline, rhs, start) = (&sym, &baseline, &rhs, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        (0..200)
+                            .map(|_| factor_and_solve(kernels, sym, baseline, rhs, ncols))
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            for (handle, want) in handles.into_iter().zip(&expected) {
+                for got in handle.join().expect("factor thread panicked") {
+                    assert_eq!(&got, want);
+                }
+            }
+        });
     }
 
     #[test]

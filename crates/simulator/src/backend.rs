@@ -3,46 +3,60 @@
 //! Three independent algorithms compute the external scattering matrix of
 //! an elaborated circuit:
 //!
+//! * [`Backend::BlockSparse`] — the scattering system
+//!   `(I − P·S_ii)·X = P·S_ie` factored by the topology-aware block-sparse
+//!   LU ([`picbench_math::sparse`]): unknowns grouped by instance, a
+//!   fill-reducing elimination order over the connectivity graph, and
+//!   dense pivoting confined to diagonal blocks. The default and the one
+//!   production solver — the KLU-style sparse solve SAX, the paper's
+//!   simulator, defaults to as well.
+//! * [`Backend::Dense`] — the same system solved by the in-repo dense
+//!   complex LU: `S_ext = S_ee + S_ei (I − P·S_ii)⁻¹ P·S_ie`, where `P`
+//!   swaps connected port pairs.
 //! * [`Backend::PortElimination`] — Filipsson's subnetwork-growth
 //!   algorithm: place all instance S-matrices block-diagonally, then
 //!   eliminate each internal connection pairwise with the two-port
-//!   interconnect formula. O(C·P²), no linear solve, and the default.
-//! * [`Backend::Dense`] — the global scattering solve
-//!   `S_ext = S_ee + S_ei (I − P·S_ii)⁻¹ P·S_ie` where `P` swaps connected
-//!   port pairs, using the in-repo complex LU.
-//! * [`Backend::BlockSparse`] — the same scattering system factored by
-//!   the topology-aware block-sparse LU ([`picbench_math::sparse`]):
-//!   unknowns grouped by instance, a fill-reducing elimination order over
-//!   the connectivity graph, and dense pivoting confined to diagonal
-//!   blocks. Asymptotically the fastest on large sparse circuits (meshes,
-//!   lattices); see the README's backend-selection guide.
+//!   interconnect formula. O(C·P²) with fresh matrices per connection and
+//!   no linear solve — kept as a naive oracle, the one algorithm that
+//!   shares no solver code with the other two.
 //!
-//! Having several lets property tests cross-check the physics: the
+//! Having several lets the conformance gate cross-check the physics: the
 //! backends agree on every benchmark golden design to ~1e-9.
 
 use crate::blocks::BlockSchedule;
 use crate::elaborate::Circuit;
-use picbench_math::{BlockSparseLu, CMatrix, Complex, LuDecomposition, SplitComplexVec};
+use picbench_math::{simd, BlockSparseLu, CMatrix, Complex, LuDecomposition, SplitComplexVec};
 use picbench_sparams::{ModelError, SMatrix};
 use std::error::Error;
 use std::fmt;
 use std::str::FromStr;
 
 /// Which composition algorithm to use.
+///
+/// [`Backend::BlockSparse`] is the default, so every production caller
+/// (campaigns, goldens, server sessions) runs it; the other two remain
+/// selectable as conformance oracles. The SIMD kernel table the
+/// block-sparse solve runs on is not part of the backend: it is a plan
+/// option ([`crate::SweepPlan::with_kernels`]), defaulting to the widest
+/// tier the CPU supports (scalar under `PICBENCH_FORCE_SCALAR=1`).
+///
+/// Evaluation-cache and store keys carry the backend token, so responses
+/// cached under one backend are never served for another: a store
+/// journalled under a different default misses and recomputes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Backend {
-    /// Filipsson pairwise port elimination (default).
-    #[default]
+    /// Filipsson pairwise port elimination (naive oracle).
     PortElimination,
     /// Dense global scattering solve with LU.
     Dense,
-    /// Topology-aware block-sparse scattering solve.
+    /// Topology-aware block-sparse scattering solve (default).
+    #[default]
     BlockSparse,
 }
 
 impl Backend {
-    /// Every composition algorithm, in default-first order — the axis the
-    /// conformance harness sweeps when cross-checking backends.
+    /// Every composition algorithm — the axis the conformance harness
+    /// sweeps when cross-checking backends.
     pub const ALL: [Backend; 3] = [
         Backend::PortElimination,
         Backend::Dense,
@@ -221,12 +235,14 @@ fn evaluate_dense(circuit: &Circuit, wavelength_um: f64) -> Result<SMatrix, SimE
 
 /// The naive block-sparse solve: rebuild the block structure, the
 /// symbolic analysis and the assembly from scratch at this one
-/// wavelength. The planned pipeline ([`crate::SweepPlan`]) runs the same
-/// arithmetic with the structure frozen once per topology.
+/// wavelength, on the default kernel table. The planned pipeline
+/// ([`crate::SweepPlan`]) runs the same arithmetic with the structure
+/// frozen once per topology.
 fn evaluate_block_sparse(circuit: &Circuit, wavelength_um: f64) -> Result<SMatrix, SimError> {
     let global = assemble_global(circuit, wavelength_um)?;
     let sched = BlockSchedule::for_circuit(circuit);
-    let mut lu = BlockSparseLu::new();
+    let kernels = simd::default_kernels();
+    let mut lu = BlockSparseLu::with_kernels(kernels);
     lu.reset(&sched.sym);
     let mut rhs = SplitComplexVec::new();
     rhs.resize_zero(sched.n_int * sched.n_ext);
@@ -236,12 +252,26 @@ fn evaluate_block_sparse(circuit: &Circuit, wavelength_um: f64) -> Result<SMatri
     lu.solve_in_place(&sched.sym, &mut rhs, sched.n_ext);
     let mut out = CMatrix::zeros(0, 0);
     let mut stage = SplitComplexVec::new();
-    sched.combine(&global, &rhs, &mut stage, &mut out);
+    sched.combine(kernels, &global, &rhs, &mut stage, &mut out);
     Ok(SMatrix::from_matrix(circuit.external_names(), out))
 }
 
 fn evaluate_elimination(circuit: &Circuit, wavelength_um: f64) -> Result<SMatrix, SimError> {
-    let mut m = assemble_global(circuit, wavelength_um)?;
+    let global = assemble_global(circuit, wavelength_um)?;
+    let s_ext = eliminate_ports(circuit, global, wavelength_um)?;
+    Ok(SMatrix::from_matrix(circuit.external_names(), s_ext))
+}
+
+/// Filipsson's reduction of an assembled block-diagonal global matrix to
+/// the external S-matrix: one pairwise elimination per connection, each
+/// building the reduced matrix afresh. Deliberately unoptimized — it is
+/// the oracle the solver backends are checked against, and plans
+/// ([`crate::SweepPlan`]) run it unchanged on their assembled matrix.
+pub(crate) fn eliminate_ports(
+    circuit: &Circuit,
+    mut m: CMatrix,
+    wavelength_um: f64,
+) -> Result<CMatrix, SimError> {
     // active[g] = current row/col of global port g, or usize::MAX if gone.
     let n0 = circuit.total_ports;
     let mut index: Vec<usize> = (0..n0).collect();
@@ -296,8 +326,7 @@ fn evaluate_elimination(circuit: &Circuit, wavelength_um: f64) -> Result<SMatrix
     // Select external rows/cols from the reduced matrix.
     let ext_rows: Vec<usize> = circuit.externals.iter().map(|(_, g)| index[*g]).collect();
     debug_assert!(ext_rows.iter().all(|&r| r != GONE));
-    let s_ext = m.submatrix(&ext_rows, &ext_rows);
-    Ok(SMatrix::from_matrix(circuit.external_names(), s_ext))
+    Ok(m.submatrix(&ext_rows, &ext_rows))
 }
 
 #[cfg(test)]

@@ -28,7 +28,8 @@
 //! per-point backend and the planned sweep pipeline alike.
 
 use crate::elaborate::Circuit;
-use picbench_math::{simd, BlockSymbolic, CMatrix, Complex, SplitComplexVec};
+use picbench_math::simd::Kernels;
+use picbench_math::{BlockSymbolic, CMatrix, Complex, SplitComplexVec};
 
 /// One scatter target: read `global[(row, col)]`, combine into the flat
 /// destination offset `dst`.
@@ -321,10 +322,11 @@ impl BlockSchedule {
     /// `out = S_ee + S_ei · X`, touching only structurally nonzero
     /// entries. The sum accumulates in the caller's split `stage` buffer
     /// (resized to `n_ext × n_ext`, no allocation at steady state) with
-    /// the `S_ei` rows running through the dispatched SIMD axpy; a final
+    /// the `S_ei` rows running through the axpy of `kernels`; a final
     /// bit-exact interleave copy lands in `out`, reshaped `n_ext × n_ext`.
     pub fn combine(
         &self,
+        kernels: &Kernels,
         global: &CMatrix,
         x: &SplitComplexVec,
         stage: &mut SplitComplexVec,
@@ -335,7 +337,6 @@ impl BlockSchedule {
         for t in &self.ee_terms {
             stage.add_assign(t.r * n_ext + t.c, global.at(t.row, t.col));
         }
-        let kern = simd::kernels();
         let (sr, si) = stage.parts_mut();
         for t in &self.ei_terms {
             let coeff = global.at(t.row, t.col);
@@ -344,7 +345,7 @@ impl BlockSchedule {
             }
             let xr = &x.re()[t.x_row * n_ext..(t.x_row + 1) * n_ext];
             let xi = &x.im()[t.x_row * n_ext..(t.x_row + 1) * n_ext];
-            kern.axpy_add(
+            kernels.axpy_add(
                 coeff,
                 xr,
                 xi,

@@ -6,14 +6,16 @@
 //!
 //! Pipeline: a JSON [`Netlist`] is validated and [`Circuit::elaborate`]d
 //! against a [`ModelRegistry`], then [`sweep`]-simulated over a
-//! [`WavelengthGrid`] with one of two independent composition
-//! [`Backend`]s, yielding a [`FrequencyResponse`] that the benchmark
+//! [`WavelengthGrid`] with one of three independent composition
+//! [`Backend`]s (block-sparse by default; dense and port-elimination are
+//! kept as oracles), yielding a [`FrequencyResponse`] that the benchmark
 //! compares against golden designs.
 //!
 //! Sweeps follow a **plan/execute** split: a [`SweepPlan`] freezes every
 //! wavelength-independent piece of the composition once per circuit
-//! (port partitions, permutations, elimination schedules, memoized
-//! dispersionless component S-matrices), and per-point solves run
+//! (port partitions, permutations, the block-sparse symbolic
+//! factorization, memoized dispersionless component S-matrices, the SIMD
+//! kernel table), and per-point solves run
 //! allocation-free on reusable [`SolveWorkspace`]s — serially for short
 //! grids, on scoped worker threads for grids of [`PARALLEL_THRESHOLD`]
 //! points or more, with element-wise identical results either way. The

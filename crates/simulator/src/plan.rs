@@ -11,98 +11,46 @@
 //!
 //! * a [`SweepSchedule`] — everything determined by the circuit's
 //!   **topology** alone (port partitions, pre-permuted gather indices,
-//!   the per-connection pivot/keep schedule of Filipsson's reduction).
-//!   Schedules are immutable, `Send + Sync`, shareable via `Arc`, and a
-//!   [`ScheduleCache`] memoizes them by [`Circuit::topology_hash`] so
-//!   that candidate circuits which differ only in *settings* (the common
-//!   case in evaluation campaigns) skip re-planning entirely;
+//!   the block partition and symbolic factorization of the block-sparse
+//!   solve). Schedules are immutable, `Send + Sync`, shareable via `Arc`,
+//!   and a [`ScheduleCache`] memoizes them by [`Circuit::topology_hash`]
+//!   so that candidate circuits which differ only in *settings* (the
+//!   common case in evaluation campaigns) skip re-planning entirely;
 //! * a [`SweepPlan`] — the schedule plus the per-instance **settings**
 //!   state: an [`SMatrixMemo`] per instance holding the block of every
-//!   wavelength-independent model, evaluated exactly once.
+//!   wavelength-independent model, evaluated exactly once — and the SIMD
+//!   [`Kernels`] table the block-sparse solve runs on, chosen once at
+//!   construction ([`SweepPlan::with_kernels`]) and handed to every
+//!   workspace the plan serves, parallel sweep workers included.
 //!
 //! The per-point state lives in a [`SolveWorkspace`]: the assembled global
-//! matrix, the dense system and right-hand side, LU storage, the
-//! elimination buffer and two scratch rows. All of it is reused between
-//! points, so the steady-state scattering solve performs **zero heap
-//! allocations** on either backend (dispersive component models still
-//! build their own small S-matrices; every wavelength-independent model is
+//! matrix, the block-sparse factor and panels, and the dense system,
+//! right-hand side and LU storage. All of it is reused between points, so
+//! the steady-state scattering solve of both solver backends performs
+//! **zero heap allocations** (dispersive component models still build
+//! their own small S-matrices; every wavelength-independent model is
 //! served from the memo) — property-verified by the counting-allocator
 //! test in `tests/alloc.rs`. Each worker thread of the parallel sweep owns
 //! one workspace.
 //!
-//! The elimination backend reduces **in place** on a single buffer: each
-//! Filipsson step captures the pivot rows into scratch, hoists the two
-//! row coefficients (pre-multiplied by the inverse denominator) out of
-//! the inner loop, and compacts the surviving rows toward the origin as
-//! it updates them — no ping-pong copy, two complex multiplies per
-//! surviving entry.
+//! [`Backend::PortElimination`] has no planned form: a plan on it runs
+//! the naive Filipsson reduction on the plan's assembled matrix at every
+//! point, allocating as it goes. It is an oracle, not a production path.
 //!
 //! Two plan-based sweeps (serial or parallel) are bit-identical. Against
-//! the naive path, the Dense backend follows the same operation order
-//! exactly; the elimination backend regroups the Filipsson numerator into
-//! two fused coefficient terms, so plan and naive agree to machine
-//! precision (~1e-15) rather than bit for bit — cross-checks must compare
-//! with a tolerance, as the property tests do.
+//! the naive path, the Dense and elimination backends follow the same
+//! operation order exactly; the block-sparse backend agrees to machine
+//! precision, so cross-checks compare with a tolerance, as the property
+//! tests do.
 
-use crate::backend::{Backend, SimError};
+use crate::backend::{eliminate_ports, Backend, SimError};
 use crate::blocks::BlockSchedule;
 use crate::elaborate::Circuit;
+use picbench_math::simd::{self, Kernels};
 use picbench_math::{BlockSparseLu, CMatrix, Complex, LuDecomposition, SplitComplexVec};
 use picbench_sparams::SMatrixMemo;
 use std::collections::HashMap;
 use std::sync::Arc;
-
-/// One precomputed step of the port-elimination reduction: the current
-/// row/column positions of the connected port pair. (The surviving rows
-/// are always the ascending complement of `{p, q}` in `0..n`, so they
-/// are enumerated on the fly rather than stored.)
-#[derive(Debug, Clone, Copy)]
-struct ElimStep {
-    p: usize,
-    q: usize,
-}
-
-/// Fenwick tree over alive/dead flags: `rank(i)` counts alive entries
-/// strictly below `i`, which is exactly an entry's current row position
-/// in an order-preserving elimination.
-struct FenwickRank {
-    tree: Vec<i64>,
-}
-
-impl FenwickRank {
-    fn all_alive(n: usize) -> Self {
-        let mut tree = vec![0i64; n + 1];
-        for i in 1..=n {
-            tree[i] += 1;
-            let j = i + (i & i.wrapping_neg());
-            if j <= n {
-                let add = tree[i];
-                tree[j] += add;
-            }
-        }
-        FenwickRank { tree }
-    }
-
-    /// Number of alive entries in `0..i` (i.e. the current position of
-    /// entry `i`, assuming `i` itself is still alive).
-    fn rank(&self, i: usize) -> usize {
-        let mut sum = 0i64;
-        let mut j = i;
-        while j > 0 {
-            sum += self.tree[j];
-            j -= j & j.wrapping_neg();
-        }
-        sum as usize
-    }
-
-    fn kill(&mut self, i: usize) {
-        let mut j = i + 1;
-        while j < self.tree.len() {
-            self.tree[j] -= 1;
-            j += j & j.wrapping_neg();
-        }
-    }
-}
 
 /// Everything about a sweep that is determined by circuit *topology*
 /// alone — no settings, no wavelengths. Immutable and shareable across
@@ -120,11 +68,6 @@ pub struct SweepSchedule {
     /// permutation already applied, so `P·S_ii` and `P·S_ie` are direct
     /// reads of the global matrix — Dense backend.
     perm_int_idx: Vec<usize>,
-    /// Reduction schedule — PortElimination backend.
-    elim_steps: Vec<ElimStep>,
-    /// Final positions of the external ports after the reduction —
-    /// PortElimination backend.
-    elim_ext_rows: Vec<usize>,
     /// Block partition, symbolic factorization and scatter/combine
     /// recipes — BlockSparse backend.
     block: BlockSchedule,
@@ -132,13 +75,11 @@ pub struct SweepSchedule {
 
 impl SweepSchedule {
     /// Computes the sweep structure of a circuit's topology: the
-    /// external/internal partition and pre-permuted gather rows (Dense),
-    /// the pivot/keep schedule of the pairwise reduction
-    /// (PortElimination), and the block partition plus symbolic
-    /// factorization of the connectivity graph (BlockSparse). All
-    /// backends' schedules are built — the work is index bookkeeping
-    /// plus a one-off symbolic analysis, negligible next to a single
-    /// sweep point.
+    /// external/internal partition and pre-permuted gather rows (Dense)
+    /// and the block partition plus symbolic factorization of the
+    /// connectivity graph (BlockSparse). Both are built — the work is
+    /// index bookkeeping plus a one-off symbolic analysis, negligible
+    /// next to a single sweep point.
     pub fn for_circuit(circuit: &Circuit) -> Self {
         let n0 = circuit.total_ports;
         let ext_idx: Vec<usize> = circuit.externals.iter().map(|(_, i)| *i).collect();
@@ -157,34 +98,11 @@ impl SweepSchedule {
             perm_int_idx[2 * k + 1] = int_idx[2 * k];
         }
 
-        // PortElimination: replay the index bookkeeping of the reduction
-        // once, recording pivot positions. Removing two rows keeps the
-        // relative order of the survivors, so a port's position at any
-        // step is its rank among the ports still alive — two Fenwick
-        // prefix-sum queries per connection instead of an O(ports)
-        // renumbering pass (the schedule is identical either way).
-        let mut alive = FenwickRank::all_alive(n0);
-        let mut elim_steps = Vec::with_capacity(circuit.connections.len());
-        for &(ga, gb) in &circuit.connections {
-            let p = alive.rank(ga);
-            let q = alive.rank(gb);
-            alive.kill(ga);
-            alive.kill(gb);
-            elim_steps.push(ElimStep { p, q });
-        }
-        let elim_ext_rows: Vec<usize> = circuit
-            .externals
-            .iter()
-            .map(|(_, g)| alive.rank(*g))
-            .collect();
-
         SweepSchedule {
             total_ports: n0,
             ext_idx,
             int_idx,
             perm_int_idx,
-            elim_steps,
-            elim_ext_rows,
             block: BlockSchedule::for_circuit(circuit),
         }
     }
@@ -253,6 +171,9 @@ pub struct SweepPlan<'c> {
     /// a single solved point (on by default; benchmarks disable it to
     /// time the per-point solver).
     allow_constant_fold: bool,
+    /// The kernel table every block-sparse factor, solve and combine of
+    /// this plan runs on, in every workspace it serves.
+    kernels: &'static Kernels,
 }
 
 /// Reference wavelength used to capture wavelength-independent S-matrices.
@@ -319,6 +240,7 @@ impl<'c> SweepPlan<'c> {
             schedule,
             memos,
             allow_constant_fold: true,
+            kernels: simd::default_kernels(),
         })
     }
 
@@ -330,6 +252,16 @@ impl<'c> SweepPlan<'c> {
     /// results are bit-identical either way.
     pub fn with_constant_fold(mut self, enabled: bool) -> Self {
         self.allow_constant_fold = enabled;
+        self
+    }
+
+    /// Runs the block-sparse solve on `kernels` instead of the default
+    /// table ([`simd::default_kernels`]) — e.g. [`simd::scalar_kernels`]
+    /// for the reference arithmetic. The table belongs to the plan, so
+    /// plans on different tables can sweep concurrently, and every
+    /// worker of a parallel sweep uses this one.
+    pub fn with_kernels(mut self, kernels: &'static Kernels) -> Self {
+        self.kernels = kernels;
         self
     }
 
@@ -398,8 +330,9 @@ impl<'c> SweepPlan<'c> {
         // block-sparse read of it (matrix/RHS scatters, ee/ei combine
         // terms) stays inside one instance's diagonal block — written by
         // `write_block` before any read (memoized below, dispersive per
-        // point). Only the dense and elimination gathers, which also read
-        // the zero cross-instance entries, need all n0² entries cleared.
+        // point). Only the dense gather and the elimination oracle, which
+        // also read the zero cross-instance entries, need all n0² entries
+        // cleared.
         if self.backend != Backend::BlockSparse {
             ws.global.fill_zero();
         }
@@ -410,18 +343,15 @@ impl<'c> SweepPlan<'c> {
         }
         // Only the active backend's buffers are sized — the others stay
         // empty (or keep stale capacity for later reuse) and are never
-        // read.
+        // read. The elimination oracle needs nothing beyond the global
+        // matrix.
         match self.backend {
             Backend::Dense => {
                 ws.system.reshape(n_int, n_int);
                 ws.rhs.reshape(n_int, n_ext);
                 ws.x.reshape(n_int, n_ext);
             }
-            Backend::PortElimination => {
-                ws.elim.reshape(n0, n0);
-                ws.elim_row_p.resize(n0, Complex::ZERO);
-                ws.elim_row_q.resize(n0, Complex::ZERO);
-            }
+            Backend::PortElimination => {}
             Backend::BlockSparse => {
                 // Baselines: the wavelength-independent part of the
                 // system assembly (identity + every memoized instance)
@@ -458,7 +388,9 @@ impl<'c> SweepPlan<'c> {
         self.refresh_dispersive(ws, wavelength_um)?;
         match self.backend {
             Backend::Dense => self.evaluate_dense(ws, wavelength_um, out)?,
-            Backend::PortElimination => self.evaluate_elimination(ws, wavelength_um, out)?,
+            Backend::PortElimination => {
+                *out = eliminate_ports(self.circuit, ws.global.clone(), wavelength_um)?;
+            }
             Backend::BlockSparse => self.evaluate_block_sparse(ws, wavelength_um, out)?,
         }
         if !out.is_finite() {
@@ -597,7 +529,7 @@ impl<'c> SweepPlan<'c> {
         self.refresh_dispersive(ws, wavelength_um)?;
         self.schedule
             .block
-            .combine(&ws.global, &ws.bs_x, &mut ws.bs_stage, out);
+            .combine(self.kernels, &ws.global, &ws.bs_x, &mut ws.bs_stage, out);
         if !out.is_finite() {
             return Err(SimError::NonFiniteResult { wavelength_um });
         }
@@ -617,9 +549,10 @@ impl<'c> SweepPlan<'c> {
         let sched = &self.schedule.block;
         if sched.n_int == 0 {
             ws.bs_x.clear();
-            sched.combine(&ws.global, &ws.bs_x, &mut ws.bs_stage, out);
+            sched.combine(self.kernels, &ws.global, &ws.bs_x, &mut ws.bs_stage, out);
             return Ok(());
         }
+        ws.bs_lu.set_kernels(self.kernels);
         ws.bs_lu.load(&ws.bs_baseline);
         ws.bs_x.copy_from(&ws.bs_rhs_baseline);
         for (ii, memo) in self.memos.iter().enumerate() {
@@ -634,7 +567,7 @@ impl<'c> SweepPlan<'c> {
             .map_err(|_| SimError::SingularSystem { wavelength_um })?;
         ws.bs_lu
             .solve_in_place(&sched.sym, &mut ws.bs_x, sched.n_ext);
-        sched.combine(&ws.global, &ws.bs_x, &mut ws.bs_stage, out);
+        sched.combine(self.kernels, &ws.global, &ws.bs_x, &mut ws.bs_stage, out);
         Ok(())
     }
 
@@ -696,108 +629,6 @@ impl<'c> SweepPlan<'c> {
         }
         Ok(())
     }
-
-    /// Filipsson pairwise reduction over the precomputed schedule,
-    /// compacting **in place** on the single workspace buffer.
-    ///
-    /// Each step captures the two pivot rows (gathered onto the surviving
-    /// columns) into scratch, then rewrites every surviving row at its
-    /// compacted position. Writes land at `(ri·m + cj)` with
-    /// `ri ≤ keep[ri]`, `cj ≤ keep[cj]` and `m < n`, so every write is
-    /// strictly below all still-unread source entries — the update never
-    /// clobbers data it has yet to read.
-    fn evaluate_elimination(
-        &self,
-        ws: &mut SolveWorkspace,
-        wavelength_um: f64,
-        out: &mut CMatrix,
-    ) -> Result<(), SimError> {
-        let sched = &*self.schedule;
-        ws.elim.copy_from(&ws.global);
-        let buf = ws.elim.as_mut_slice();
-        let mut n = sched.total_ports;
-
-        for step in &sched.elim_steps {
-            let (p, q) = (step.p, step.q);
-            let m = n - 2;
-            debug_assert!(p < n && q < n && p != q);
-
-            let s_pq = buf[p * n + q];
-            let s_qp = buf[q * n + p];
-            let s_pp = buf[p * n + p];
-            let s_qq = buf[q * n + q];
-            let one_m_pq = Complex::ONE - s_pq;
-            let one_m_qp = Complex::ONE - s_qp;
-            let denom = one_m_pq * one_m_qp - s_pp * s_qq;
-            if denom.abs() < 1e-300 {
-                return Err(SimError::SingularSystem { wavelength_um });
-            }
-            let inv_d = denom.recip();
-
-            // The surviving columns are `0..n` minus the two pivots: three
-            // contiguous segments. Working segment-wise (rather than
-            // through the keep list) turns every gather into a sequential
-            // run the compiler can vectorize.
-            let (lo, hi) = (p.min(q), p.max(q));
-
-            // Capture the pivot rows gathered onto the surviving columns —
-            // the compaction below overwrites them.
-            let row_p = &mut ws.elim_row_p[..m];
-            let row_q = &mut ws.elim_row_q[..m];
-            row_p[..lo].copy_from_slice(&buf[p * n..p * n + lo]);
-            row_q[..lo].copy_from_slice(&buf[q * n..q * n + lo]);
-            row_p[lo..hi - 1].copy_from_slice(&buf[p * n + lo + 1..p * n + hi]);
-            row_q[lo..hi - 1].copy_from_slice(&buf[q * n + lo + 1..q * n + hi]);
-            row_p[hi - 1..].copy_from_slice(&buf[p * n + hi + 1..p * n + n]);
-            row_q[hi - 1..].copy_from_slice(&buf[q * n + hi + 1..q * n + n]);
-
-            let mut ri = 0usize;
-            for i in 0..n {
-                if i == lo || i == hi {
-                    continue;
-                }
-                let s_ip = buf[i * n + p];
-                let s_iq = buf[i * n + q];
-                // Hoist the shared row factors (and the division) out of
-                // the inner loop: two fused multiplies per entry.
-                let coeff_q = (one_m_pq * s_ip + s_pp * s_iq) * inv_d;
-                let coeff_p = (s_qq * s_ip + one_m_qp * s_iq) * inv_d;
-                let src = i * n;
-                let dst = ri * m;
-                let mut cj = 0usize;
-                let mut update = |j_start: usize, j_end: usize, cj: &mut usize| {
-                    for j in j_start..j_end {
-                        debug_assert!(dst + *cj <= src + j && src + j < buf.len());
-                        // SAFETY: `src + j < n·n ≤ buf.len()` and
-                        // `dst + cj < m·m < buf.len()`; the write index
-                        // never exceeds the read index (in-place ordering
-                        // proven in the method docs), checked above in
-                        // debug builds.
-                        unsafe {
-                            *buf.get_unchecked_mut(dst + *cj) = *buf.get_unchecked(src + j)
-                                + *row_q.get_unchecked(*cj) * coeff_q
-                                + *row_p.get_unchecked(*cj) * coeff_p;
-                        }
-                        *cj += 1;
-                    }
-                };
-                update(0, lo, &mut cj);
-                update(lo + 1, hi, &mut cj);
-                update(hi + 1, n, &mut cj);
-                ri += 1;
-            }
-            n = m;
-        }
-
-        let n_ext = sched.elim_ext_rows.len();
-        out.reshape(n_ext, n_ext);
-        for (r, &src_r) in sched.elim_ext_rows.iter().enumerate() {
-            for (c, &src_c) in sched.elim_ext_rows.iter().enumerate() {
-                *out.at_mut(r, c) = buf[src_r * n + src_c];
-            }
-        }
-        Ok(())
-    }
 }
 
 /// How a stripe of grid points executes over a plan — decided once by
@@ -840,13 +671,8 @@ pub struct SolveWorkspace {
     x: CMatrix,
     /// LU factors + pivot permutation, re-factored in place per point.
     lu: LuDecomposition,
-    /// In-place elimination buffer.
-    elim: CMatrix,
-    /// Scratch: pivot row `p` gathered onto the surviving columns.
-    elim_row_p: Vec<Complex>,
-    /// Scratch: pivot row `q` gathered onto the surviving columns.
-    elim_row_q: Vec<Complex>,
-    /// Numeric block-sparse factor, re-factored per point (BlockSparse).
+    /// Numeric block-sparse factor, re-factored per point on the serving
+    /// plan's kernel table (BlockSparse).
     bs_lu: BlockSparseLu,
     /// Baseline image of the wavelength-independent system assembly
     /// (split-complex, the solver's panel layout).
@@ -870,9 +696,6 @@ impl SolveWorkspace {
             rhs: CMatrix::zeros(0, 0),
             x: CMatrix::zeros(0, 0),
             lu: LuDecomposition::empty(),
-            elim: CMatrix::zeros(0, 0),
-            elim_row_p: Vec::new(),
-            elim_row_q: Vec::new(),
             bs_lu: BlockSparseLu::new(),
             bs_baseline: SplitComplexVec::new(),
             bs_rhs_baseline: SplitComplexVec::new(),

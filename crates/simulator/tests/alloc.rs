@@ -4,12 +4,14 @@
 //! counters, so concurrently running tests cannot pollute each other) and
 //! drives [`SweepPlan::evaluate_into`] after a single warm-up point. For a
 //! circuit whose models are all wavelength-independent (served from the
-//! plan memo), the per-point solve of **both** backends must perform zero
-//! heap allocations — the acceptance bar the reusable-workspace design is
-//! built around. A dispersive circuit is exercised too, asserting that the
-//! only allocations left come from the per-point model evaluations.
+//! plan memo), the per-point solve of **both** solver backends (dense and
+//! block-sparse) must perform zero heap allocations — the acceptance bar
+//! the reusable-workspace design is built around. (The port-elimination
+//! oracle rebuilds its matrices per connection and is exempt.) A
+//! dispersive circuit is exercised too, asserting that the only
+//! allocations left come from the per-point model evaluations.
 
-use picbench_math::CMatrix;
+use picbench_math::{simd, CMatrix};
 use picbench_netlist::{Netlist, NetlistBuilder};
 use picbench_sim::{Backend, Circuit, ModelRegistry, SweepPlan};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -56,6 +58,9 @@ fn count_allocations<R>(f: impl FnOnce() -> R) -> (u64, R) {
     (ALLOCATIONS.with(|a| a.get()), result)
 }
 
+/// The backends with a planned, workspace-reusing solve.
+const SOLVER_BACKENDS: [Backend; 2] = [Backend::Dense, Backend::BlockSparse];
+
 fn elaborate(netlist: &Netlist) -> Circuit {
     let registry = ModelRegistry::with_builtins();
     Circuit::elaborate(netlist, &registry, None).unwrap()
@@ -88,7 +93,7 @@ fn memoizable_ladder(rungs: usize) -> Netlist {
 #[test]
 fn per_point_solve_is_allocation_free_on_both_backends() {
     let circuit = elaborate(&memoizable_ladder(6));
-    for backend in Backend::ALL {
+    for backend in SOLVER_BACKENDS {
         let plan = SweepPlan::new(&circuit, backend).unwrap();
         assert_eq!(
             plan.memoized_instance_count(),
@@ -163,44 +168,32 @@ fn batched_stripe_solve_is_allocation_free_after_warmup() {
 fn warmed_soa_stripe_solve_is_allocation_free_on_every_dispatch_tier() {
     // The split-complex (SoA) panel kernels must not hide allocations
     // behind ISA dispatch: once the stripe buffers are warmed, the
-    // whole solve stays allocation-free both under the ambient (widest
-    // detected) SIMD tier and with dispatch forced to the scalar
-    // kernels — the tiers share the panel workspace, they differ only
-    // in the kernel bodies.
+    // whole solve stays allocation-free both on the default (widest
+    // detected) kernel table and on a plan built on the scalar table —
+    // the tables differ only in the kernel bodies.
     let circuit = elaborate(&memoizable_ladder(6));
-    let plan = SweepPlan::new(&circuit, Backend::BlockSparse).unwrap();
     let wavelengths: Vec<f64> = (0..16).map(|i| 1.51 + 0.005 * i as f64).collect();
-    let mut ws = plan.workspace();
-    let mut outs: Vec<CMatrix> = (0..wavelengths.len())
-        .map(|_| CMatrix::zeros(4, 4))
-        .collect();
-    // Warm up under both tiers.
-    plan.evaluate_stripe_into(&mut ws, &wavelengths, &mut outs)
-        .unwrap();
-    picbench_math::simd::with_forced_scalar(|| {
+    for kernels in [simd::default_kernels(), simd::scalar_kernels()] {
+        let plan = SweepPlan::new(&circuit, Backend::BlockSparse)
+            .unwrap()
+            .with_kernels(kernels);
+        let mut ws = plan.workspace();
+        let mut outs: Vec<CMatrix> = (0..wavelengths.len())
+            .map(|_| CMatrix::zeros(4, 4))
+            .collect();
+        // Warm-up stripe.
         plan.evaluate_stripe_into(&mut ws, &wavelengths, &mut outs)
-    })
-    .unwrap();
-
-    let (ambient, result) =
-        count_allocations(|| plan.evaluate_stripe_into(&mut ws, &wavelengths, &mut outs));
-    result.map_err(|(_, e)| e).unwrap();
-    assert_eq!(
-        ambient,
-        0,
-        "warmed SoA stripe solve must not allocate under the {} tier",
-        picbench_math::simd::active_level().token()
-    );
-    let (scalar, result) = count_allocations(|| {
-        picbench_math::simd::with_forced_scalar(|| {
-            plan.evaluate_stripe_into(&mut ws, &wavelengths, &mut outs)
-        })
-    });
-    result.map_err(|(_, e)| e).unwrap();
-    assert_eq!(
-        scalar, 0,
-        "warmed SoA stripe solve must not allocate under forced-scalar dispatch"
-    );
+            .unwrap();
+        let (allocations, result) =
+            count_allocations(|| plan.evaluate_stripe_into(&mut ws, &wavelengths, &mut outs));
+        result.map_err(|(_, e)| e).unwrap();
+        assert_eq!(
+            allocations,
+            0,
+            "warmed SoA stripe solve must not allocate on the {} table",
+            kernels.level()
+        );
+    }
 }
 
 #[test]
@@ -224,7 +217,7 @@ fn dispersive_circuits_only_allocate_in_model_evaluation() {
         .model("waveguide", "waveguide")
         .build();
     let circuit = elaborate(&netlist);
-    for backend in Backend::ALL {
+    for backend in SOLVER_BACKENDS {
         let plan = SweepPlan::new(&circuit, backend).unwrap();
         let mut ws = plan.workspace();
         let mut out = CMatrix::zeros(0, 0);

@@ -6,9 +6,10 @@
 //! point-by-point evaluation.
 
 use picbench_conformance::{CircuitStrategy, Family, GeneratorConfig};
-use picbench_math::CMatrix;
+use picbench_math::{simd, CMatrix};
 use picbench_sim::{
-    sweep_naive, sweep_serial, Backend, Circuit, ModelRegistry, SweepPlan, WavelengthGrid,
+    sweep_naive, sweep_serial, sweep_with_plan, Backend, Circuit, ModelRegistry, SweepPlan,
+    WavelengthGrid,
 };
 
 /// The conformance backend tolerance: genuinely different algorithms on
@@ -72,14 +73,14 @@ fn block_sparse_matches_dense_on_every_generator_family() {
 
 #[test]
 fn forced_scalar_and_simd_dispatch_agree_on_every_generator_family() {
-    // The block-sparse solve dispatches through the runtime-selected
-    // SIMD kernel table; the vector tiers contract multiply-adds into
-    // FMAs, so cross-tier agreement is tolerance-gated (the `simd`
-    // conformance axis documents the contract) while each tier on its
-    // own must be deterministic. On a host without vector units — or
-    // under `PICBENCH_FORCE_SCALAR=1` — both runs take the scalar path
-    // and the comparison is vacuously exact; the determinism half of the
-    // test still bites.
+    // The block-sparse solve runs on its plan's SIMD kernel table; the
+    // vector tiers contract multiply-adds into FMAs, so cross-tier
+    // agreement is tolerance-gated (the `simd` conformance axis
+    // documents the contract) while each tier on its own must be
+    // deterministic. On a host without vector units — or under
+    // `PICBENCH_FORCE_SCALAR=1` — the default table is scalar and the
+    // comparison is vacuously exact; the determinism half of the test
+    // still bites.
     const SIMD_TOL: f64 = 1e-9;
     let registry = ModelRegistry::with_builtins();
     let grid = WavelengthGrid::new(1.51, 1.59, 7);
@@ -95,10 +96,13 @@ fn forced_scalar_and_simd_dispatch_agree_on_every_generator_family() {
             let Ok(ambient) = sweep_serial(&circuit, &grid, Backend::BlockSparse) else {
                 continue;
             };
-            let scalar = picbench_math::simd::with_forced_scalar(|| {
-                sweep_serial(&circuit, &grid, Backend::BlockSparse)
-            })
-            .unwrap_or_else(|e| panic!("{family} case {k}: forced-scalar sweep failed: {e}"));
+            let scalar_sweep = || {
+                let plan = SweepPlan::new(&circuit, Backend::BlockSparse)?
+                    .with_kernels(simd::scalar_kernels());
+                sweep_with_plan(&plan, &grid, 1)
+            };
+            let scalar = scalar_sweep()
+                .unwrap_or_else(|e| panic!("{family} case {k}: scalar-table sweep failed: {e}"));
             assert_eq!(ambient.ports(), scalar.ports(), "{family} case {k}");
             for i in 0..grid.points {
                 let diff = ambient
@@ -108,18 +112,15 @@ fn forced_scalar_and_simd_dispatch_agree_on_every_generator_family() {
                 assert!(
                     diff < SIMD_TOL,
                     "{family} case {k}, grid point {i}: {} tier vs scalar |ΔS| = {diff:.3e}\n{}",
-                    picbench_math::simd::active_level().token(),
+                    simd::active_level().token(),
                     gen.netlist.to_json_string()
                 );
             }
             // Within the scalar tier the sweep is bit-deterministic.
-            let again = picbench_math::simd::with_forced_scalar(|| {
-                sweep_serial(&circuit, &grid, Backend::BlockSparse)
-            })
-            .unwrap();
+            let again = scalar_sweep().unwrap();
             assert_eq!(
                 scalar, again,
-                "{family} case {k}: forced-scalar sweep is not deterministic"
+                "{family} case {k}: scalar-table sweep is not deterministic"
             );
         }
     }
