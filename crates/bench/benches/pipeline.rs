@@ -1,10 +1,65 @@
-//! Criterion benches for the evaluation pipeline: JSON parsing, netlist
-//! validation, response evaluation (pass and fail paths) and Pass@k.
+//! Criterion benches for the evaluation pipeline: synthetic-model
+//! generation, JSON parsing, netlist validation, response evaluation
+//! (pass and fail paths) and Pass@k.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use picbench_core::{pass_at_k, Evaluator};
 use picbench_netlist::{json, validate, Netlist, PortRef};
+use picbench_prompt::{Conversation, Role};
 use picbench_sim::ModelRegistry;
+use picbench_synthllm::{LanguageModel, ModelProfile, SyntheticLlm, PAPER_SEED};
+
+/// Mirrors the `synthllm.respond_*` stage: one first-turn `respond`
+/// (after the `begin_sample` that resets it) on an attempt without
+/// mistakes and on one with a structural mistake, plus the netlist
+/// writer that renders the latter.
+fn synthllm(c: &mut Criterion) {
+    let mut group = c.benchmark_group("synthllm");
+    let problem = picbench_problems::find("clements-8x8").expect("problem exists");
+    let mut conversation =
+        Conversation::with_system((*Evaluator::default().system_prompt(false)).clone());
+    conversation.push(Role::User, problem.description.clone());
+    // The first (model, sample) whose first attempt is clean, and the
+    // first whose first attempt carries a corruption that edits the
+    // netlist.
+    let find = |clean: bool| {
+        ModelProfile::all_paper_models()
+            .into_iter()
+            .find_map(|profile| {
+                let mut llm = SyntheticLlm::new(profile, PAPER_SEED);
+                let sample = (0..200u64).find(|&sample| {
+                    llm.begin_sample(&problem, sample);
+                    llm.respond(&conversation);
+                    let corruptions = llm.active_corruptions();
+                    if clean {
+                        corruptions.is_empty()
+                    } else {
+                        corruptions.iter().any(|c| !c.is_text_level())
+                    }
+                })?;
+                Some((llm, sample))
+            })
+            .expect("attempt found")
+    };
+    for (label, (mut llm, sample)) in [
+        ("respond-clean", find(true)),
+        ("respond-corrupted", find(false)),
+    ] {
+        group.bench_function(BenchmarkId::new(label, problem.id.as_str()), |b| {
+            b.iter(|| {
+                llm.begin_sample(&problem, sample);
+                llm.respond(&conversation)
+            });
+        });
+    }
+    group.bench_function(
+        BenchmarkId::new("to_json_string", problem.id.as_str()),
+        |b| {
+            b.iter(|| problem.golden.to_json_string());
+        },
+    );
+    group.finish();
+}
 
 fn json_parsing(c: &mut Criterion) {
     let mut group = c.benchmark_group("json");
@@ -88,6 +143,7 @@ fn pass_at_k_bench(c: &mut Criterion) {
 
 criterion_group!(
     benches,
+    synthllm,
     json_parsing,
     validation,
     response_evaluation,

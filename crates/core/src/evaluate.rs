@@ -838,6 +838,20 @@ mod tests {
     }
 
     #[test]
+    fn hostile_nesting_in_a_response_is_a_classified_syntax_failure() {
+        // 20 KB of nested objects: balanced braces, so extraction hands
+        // it to the parser, whose nesting cap turns it into an error.
+        let depth = 20 * 1024 / 6;
+        let hostile = format!("{}{}", "{\"a\": ".repeat(depth), "}".repeat(depth));
+        let mut ev = Evaluator::default();
+        let report = ev.evaluate_response(&mzi_ps(), &wrap(&hostile));
+        assert!(!report.syntax_pass());
+        assert_eq!(report.functional, None);
+        assert_eq!(report.issues()[0].failure, FailureType::OtherSyntax);
+        assert!(report.issues()[0].message.contains("nesting"));
+    }
+
+    #[test]
     fn fig4_wrong_port_fails_syntax_with_paper_message() {
         let problem = mzi_ps();
         let mut broken = problem.golden.clone();

@@ -206,13 +206,27 @@ fn revived_stalled_worker_is_fenced_and_its_writes_quarantined() {
             release: Arc::clone(&release),
         },
     );
+    // The replacement generation holds before its first fresh cell until
+    // the revived worker has journalled its stats. Otherwise the shard
+    // could finish first, and the supervisor's orphan kill would race
+    // the revived worker's last writes.
+    let release_replacement = Arc::new(AtomicBool::new(false));
+    launcher.inject(
+        stalled_shard,
+        1,
+        WorkerFault::StallAfterCells {
+            cells: 0,
+            release: Arc::clone(&release_replacement),
+        },
+    );
 
     // Drive the drill from the event stream: once the victim's first
     // cell is journalled (it stalls right after), grant the supervisor
     // enough virtual time to expire the lease; once the replacement
     // generation has verifiably finished its restore pass (lease seq 2
     // comes after it), release the stalled worker so it revives and
-    // keeps writing into its fenced generation.
+    // keeps writing into its fenced generation. The virtual-time grant
+    // is spent by then, so the held replacement's lease never expires.
     let events: Arc<Mutex<Vec<CampaignEvent>>> = Arc::new(Mutex::new(Vec::new()));
     let recorder = Arc::clone(&events);
     let clock_for_observer = Arc::clone(&clock);
@@ -250,7 +264,25 @@ fn revived_stalled_worker_is_fenced_and_its_writes_quarantined() {
         .build()
         .unwrap();
     let fingerprint = campaign.fingerprint();
-    let outcome = campaign.execute();
+    let gen0 = picbench_core::shard_journal_dir(&dir, stalled_shard, 0);
+    let revived_stats_journalled = || {
+        EvalSnapshot::load(&gen0)
+            .ok()
+            .is_some_and(|snap| snap.shard_stats(fingerprint, stalled_shard).is_some())
+    };
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    let outcome = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            // Release the replacement once the revived worker's stats are
+            // in its fenced journal (or at the deadline, so a broken
+            // drill fails its assertions instead of hanging).
+            while !revived_stats_journalled() && std::time::Instant::now() < deadline {
+                std::thread::sleep(std::time::Duration::from_millis(5));
+            }
+            release_replacement.store(true, Ordering::Release);
+        });
+        campaign.execute()
+    });
     let report = outcome.report.expect("campaign survives the stall");
     assert!(
         report.same_results(&control),
@@ -278,23 +310,14 @@ fn revived_stalled_worker_is_fenced_and_its_writes_quarantined() {
         );
     }
 
-    // Wait for the revived worker to finish its (fenced) generation —
-    // it journals its remaining cell and its stats into gen-000 — then
-    // re-merge: the stale writes must be quarantined, the report
-    // unchanged.
-    let gen0 = picbench_core::shard_journal_dir(&dir, stalled_shard, 0);
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
-    loop {
-        let snap = EvalSnapshot::load(&gen0).expect("gen-0 journal readable");
-        if snap.shard_stats(fingerprint, stalled_shard).is_some() {
-            break;
-        }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "revived worker never finished its fenced generation"
-        );
-        std::thread::sleep(std::time::Duration::from_millis(10));
-    }
+    // The revived worker finished its (fenced) generation before the
+    // replacement was released: it journalled its remaining cell and its
+    // stats into gen-000. Re-merge: the stale writes must be
+    // quarantined, the report unchanged.
+    assert!(
+        revived_stats_journalled(),
+        "revived worker never finished its fenced generation"
+    );
     let merged = campaign.merge_from_shards(&dir).expect("re-merge");
     assert!(merged.report.same_results(&control));
     let stalled_info = merged

@@ -12,7 +12,17 @@
 //! readable golden designs and byte-stable round-trips.
 
 use std::error::Error;
-use std::fmt;
+use std::fmt::{self, Write as _};
+
+/// Deepest array/object nesting [`parse`] accepts. Netlists, problem
+/// sets, wire events and coordinator messages nest at most a handful of
+/// levels; the cap keeps the recursive-descent parser's stack use
+/// bounded on hostile input (a few kilobytes of `[` would otherwise
+/// overflow a thread stack and abort the process).
+pub const MAX_DEPTH: usize = 128;
+
+/// Spaces per level in [`to_string_pretty`] (and `Netlist::to_json_string`).
+pub(crate) const PRETTY_INDENT: usize = 2;
 
 /// A JSON value.
 #[derive(Debug, Clone)]
@@ -155,6 +165,8 @@ pub enum JsonErrorKind {
     /// A `//` or `/* */` comment was found (JSON forbids comments; the
     /// benchmark classifies this as extra content).
     CommentFound,
+    /// Arrays and objects nest deeper than [`MAX_DEPTH`].
+    TooDeep,
 }
 
 /// A parse error with position information.
@@ -178,6 +190,7 @@ impl fmt::Display for JsonError {
             JsonErrorKind::TrailingContent => "unexpected content after the JSON value".to_string(),
             JsonErrorKind::Expected(tok) => format!("expected {tok}"),
             JsonErrorKind::CommentFound => "comments are not allowed in JSON".to_string(),
+            JsonErrorKind::TooDeep => format!("nesting deeper than {MAX_DEPTH} levels"),
         };
         write!(f, "{what} at line {} column {}", self.line, self.column)
     }
@@ -188,6 +201,8 @@ impl Error for JsonError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -195,6 +210,7 @@ impl<'a> Parser<'a> {
         Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         }
     }
 
@@ -250,8 +266,19 @@ impl<'a> Parser<'a> {
         self.skip_ws()?;
         match self.peek() {
             None => Err(self.error(JsonErrorKind::UnexpectedEnd)),
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.error(JsonErrorKind::TooDeep));
+                }
+                self.depth += 1;
+                let container = if open == b'{' {
+                    self.parse_object()
+                } else {
+                    self.parse_array()
+                };
+                self.depth -= 1;
+                container
+            }
             Some(b'"') => Ok(Value::String(self.parse_string()?)),
             Some(b't') | Some(b'f') => self.parse_bool(),
             Some(b'n') => self.parse_null(),
@@ -486,8 +513,21 @@ pub fn parse(text: &str) -> Result<Value, JsonError> {
     Ok(value)
 }
 
-fn escape_into(out: &mut String, s: &str) {
+/// Writes `s` as a JSON string literal.
+pub(crate) fn escape_into(out: &mut String, s: &str) {
     out.push('"');
+    push_escaped(out, s);
+    out.push('"');
+}
+
+/// Writes the body of a JSON string literal (no quotes). Escaping is per
+/// character, so a literal can be written in pieces.
+pub(crate) fn push_escaped(out: &mut String, s: &str) {
+    if !s.bytes().any(|b| b < 0x20 || b == b'"' || b == b'\\') {
+        // Identifiers, port references and model names: nothing to escape.
+        out.push_str(s);
+        return;
+    }
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -496,29 +536,37 @@ fn escape_into(out: &mut String, s: &str) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
     }
-    out.push('"');
 }
 
-fn format_number(n: f64) -> String {
+/// Writes a number the way every serializer in this crate does.
+pub(crate) fn write_number(out: &mut String, n: f64) {
     if !n.is_finite() {
         // JSON has no lexeme for NaN or infinity; `null` is the
         // conventional stand-in (what JSON.stringify emits) and keeps
         // the output parseable instead of corrupting the document.
-        return "null".to_string();
-    }
-    if n == 0.0 && n.is_sign_negative() {
+        out.push_str("null");
+    } else if n == 0.0 && n.is_sign_negative() {
         // `0` would silently drop the sign; `-0` parses back to -0.0.
-        return "-0".to_string();
-    }
-    if n.fract() == 0.0 && n.abs() < 1e15 {
-        format!("{}", n as i64)
+        out.push_str("-0");
+    } else if n.fract() == 0.0 && n.abs() < 1e15 {
+        let _ = write!(out, "{}", n as i64);
     } else {
-        format!("{n}")
+        let _ = write!(out, "{n}");
+    }
+}
+
+/// Starts a new pretty-printed line at `level` (no-op when compact).
+pub(crate) fn newline_indent(out: &mut String, indent: usize, level: usize) {
+    if indent > 0 {
+        out.push('\n');
+        for _ in 0..indent * level {
+            out.push(' ');
+        }
     }
 }
 
@@ -526,8 +574,10 @@ fn write_value(out: &mut String, v: &Value, indent: usize, level: usize) {
     match v {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Number(n) => out.push_str(&format_number(*n)),
-        Value::Uint(u) => out.push_str(&u.to_string()),
+        Value::Number(n) => write_number(out, *n),
+        Value::Uint(u) => {
+            let _ = write!(out, "{u}");
+        }
         Value::String(s) => escape_into(out, s),
         Value::Array(items) => {
             if items.is_empty() {
@@ -539,16 +589,10 @@ fn write_value(out: &mut String, v: &Value, indent: usize, level: usize) {
                 if i > 0 {
                     out.push(',');
                 }
-                if indent > 0 {
-                    out.push('\n');
-                    out.push_str(&" ".repeat(indent * (level + 1)));
-                }
+                newline_indent(out, indent, level + 1);
                 write_value(out, item, indent, level + 1);
             }
-            if indent > 0 {
-                out.push('\n');
-                out.push_str(&" ".repeat(indent * level));
-            }
+            newline_indent(out, indent, level);
             out.push(']');
         }
         Value::Object(entries) => {
@@ -561,10 +605,7 @@ fn write_value(out: &mut String, v: &Value, indent: usize, level: usize) {
                 if i > 0 {
                     out.push(',');
                 }
-                if indent > 0 {
-                    out.push('\n');
-                    out.push_str(&" ".repeat(indent * (level + 1)));
-                }
+                newline_indent(out, indent, level + 1);
                 escape_into(out, k);
                 out.push(':');
                 if indent > 0 {
@@ -572,10 +613,7 @@ fn write_value(out: &mut String, v: &Value, indent: usize, level: usize) {
                 }
                 write_value(out, val, indent, level + 1);
             }
-            if indent > 0 {
-                out.push('\n');
-                out.push_str(&" ".repeat(indent * level));
-            }
+            newline_indent(out, indent, level);
             out.push('}');
         }
     }
@@ -597,7 +635,7 @@ pub fn to_string(v: &Value) -> String {
 /// ```
 pub fn to_string_pretty(v: &Value) -> String {
     let mut out = String::new();
-    write_value(&mut out, v, 2, 0);
+    write_value(&mut out, v, PRETTY_INDENT, 0);
     out
 }
 
@@ -781,6 +819,60 @@ mod tests {
         assert_eq!(parse("{}").unwrap().type_name(), "object");
         assert_eq!(parse("[]").unwrap().type_name(), "array");
         assert_eq!(parse("null").unwrap().type_name(), "null");
+    }
+
+    #[test]
+    fn large_integers_and_fractions_keep_their_lexemes() {
+        assert_eq!(
+            to_string(&Value::Number(999_999_999_999_999.0)),
+            "999999999999999"
+        );
+        assert_eq!(to_string(&Value::Number(1e15)), "1000000000000000");
+        assert_eq!(to_string(&Value::Number(-1e15)), "-1000000000000000");
+        assert_eq!(to_string(&Value::Number(1e21)), "1000000000000000000000");
+        assert_eq!(to_string(&Value::Number(0.1)), "0.1");
+        assert_eq!(to_string(&Value::Number(1.5e-7)), "0.00000015");
+    }
+
+    #[test]
+    fn escapes_are_written_per_character() {
+        let v = Value::String("plain \"q\" \\ \n\r\t\u{1f} µ".into());
+        let text = to_string(&v);
+        assert_eq!(text, "\"plain \\\"q\\\" \\\\ \\n\\r\\t\\u001f µ\"");
+        assert_eq!(parse(&text).unwrap(), v);
+        assert_eq!(to_string(&Value::String("ok".into())), "\"ok\"");
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.kind, JsonErrorKind::TooDeep);
+        assert_eq!((err.line, err.column), (1, MAX_DEPTH + 1));
+        let objects = format!(
+            "{}{}",
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert_eq!(parse(&objects).unwrap_err().kind, JsonErrorKind::TooDeep);
+        // The cap applies to open containers, not to how many were seen.
+        let wide = format!("[{}]", vec![nested(MAX_DEPTH - 1); 50].join(","));
+        assert!(parse(&wide).is_ok());
+    }
+
+    #[test]
+    fn hostile_nesting_is_an_error_on_a_small_stack() {
+        // 20 KB of `[` overflowed a 2 MiB stack before the cap; with it
+        // the parser stays within a 256 KiB one.
+        let hostile = "[".repeat(20 * 1024);
+        let result = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(move || parse(&hostile).map_err(|e| e.kind))
+            .unwrap()
+            .join()
+            .expect("parser thread overflowed its stack");
+        assert_eq!(result, Err(JsonErrorKind::TooDeep));
     }
 
     #[test]

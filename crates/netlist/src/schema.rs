@@ -432,8 +432,73 @@ impl Netlist {
     }
 
     /// Serializes to pretty-printed JSON.
+    ///
+    /// Writes straight from the netlist, without building a [`Value`]
+    /// tree; the text is byte-identical to
+    /// `json::to_string_pretty(&self.to_value())`.
     pub fn to_json_string(&self) -> String {
-        json::to_string_pretty(&self.to_value())
+        let entries =
+            self.instances.len() + self.connections.len() + self.ports.len() + self.models.len();
+        let mut out = String::with_capacity(128 + 48 * entries);
+        self.write_json(&mut out);
+        out
+    }
+
+    /// Appends [`Netlist::to_json_string`]'s text to `out`.
+    pub fn write_json(&self, out: &mut String) {
+        let mut root = PrettyObject::open(out, 0);
+        root.key(out, "netlist");
+        let mut netlist = PrettyObject::open(out, 1);
+
+        netlist.key(out, "instances");
+        let mut instances = PrettyObject::open(out, 2);
+        for (name, inst) in self.instances.iter() {
+            instances.key(out, name);
+            if inst.settings.is_empty() {
+                json::escape_into(out, &inst.component);
+                continue;
+            }
+            let mut spec = PrettyObject::open(out, 3);
+            spec.key(out, "component");
+            json::escape_into(out, &inst.component);
+            spec.key(out, "settings");
+            let mut settings = PrettyObject::open(out, 4);
+            for (param, value) in inst.settings.iter() {
+                settings.key(out, param);
+                json::write_number(out, *value);
+            }
+            settings.close(out);
+            spec.close(out);
+        }
+        instances.close(out);
+
+        netlist.key(out, "connections");
+        let mut connections = PrettyObject::open(out, 2);
+        for c in &self.connections {
+            connections.entry(out);
+            write_port_ref(out, &c.a);
+            out.push_str(": ");
+            write_port_ref(out, &c.b);
+        }
+        connections.close(out);
+
+        netlist.key(out, "ports");
+        let mut ports = PrettyObject::open(out, 2);
+        for (name, pr) in self.ports.iter() {
+            ports.key(out, name);
+            write_port_ref(out, pr);
+        }
+        ports.close(out);
+        netlist.close(out);
+
+        root.key(out, "models");
+        let mut models = PrettyObject::open(out, 1);
+        for (component, model_ref) in self.models.iter() {
+            models.key(out, component);
+            json::escape_into(out, model_ref);
+        }
+        models.close(out);
+        root.close(out);
     }
 
     /// Removes an instance together with everything that references it:
@@ -484,6 +549,51 @@ impl Netlist {
         }
         refs
     }
+}
+
+/// An object being written in [`json::to_string_pretty`]'s layout.
+struct PrettyObject {
+    level: usize,
+    empty: bool,
+}
+
+impl PrettyObject {
+    fn open(out: &mut String, level: usize) -> Self {
+        out.push('{');
+        PrettyObject { level, empty: true }
+    }
+
+    /// Starts an entry; the caller writes its quoted key.
+    fn entry(&mut self, out: &mut String) {
+        if !self.empty {
+            out.push(',');
+        }
+        self.empty = false;
+        json::newline_indent(out, json::PRETTY_INDENT, self.level + 1);
+    }
+
+    /// Starts an entry and writes its key; the caller writes the value.
+    fn key(&mut self, out: &mut String, key: &str) {
+        self.entry(out);
+        json::escape_into(out, key);
+        out.push_str(": ");
+    }
+
+    fn close(self, out: &mut String) {
+        if !self.empty {
+            json::newline_indent(out, json::PRETTY_INDENT, self.level);
+        }
+        out.push('}');
+    }
+}
+
+/// Writes a port reference as its `"instance,port"` string literal.
+fn write_port_ref(out: &mut String, pr: &PortRef) {
+    out.push('"');
+    json::push_escaped(out, &pr.instance);
+    out.push(',');
+    json::push_escaped(out, &pr.port);
+    out.push('"');
 }
 
 /// Error from [`Netlist::from_json_str`].
@@ -580,6 +690,65 @@ mod tests {
         let text = n.to_json_string();
         let n2 = Netlist::from_json_str(&text).unwrap();
         assert_eq!(n, n2);
+    }
+
+    #[test]
+    fn direct_writer_matches_the_value_tree_on_edge_cases() {
+        let pretty = |n: &Netlist| json::to_string_pretty(&n.to_value());
+        let empty = Netlist::default();
+        assert_eq!(
+            empty.to_json_string(),
+            "{\n  \"netlist\": {\n    \"instances\": {},\n    \"connections\": {},\n    \
+             \"ports\": {}\n  },\n  \"models\": {}\n}"
+        );
+        assert_eq!(empty.to_json_string(), pretty(&empty));
+
+        let mut odd = Netlist::default();
+        let mut inst = Instance::new("wave\"guide\\\n\u{1}");
+        for (param, value) in [
+            ("neg_zero", -0.0),
+            ("nan", f64::NAN),
+            ("inf", f64::INFINITY),
+            ("neg_inf", f64::NEG_INFINITY),
+            ("big", 1e15),
+            ("bigger", 123_456_789_012_345_680.0),
+            ("huge", 1e300),
+            ("fraction", 0.1),
+            ("negative", -2.5e-9),
+            ("int", 42.0),
+        ] {
+            inst.settings.insert(param.to_string(), value);
+        }
+        odd.instances.insert("tab\tname".to_string(), inst);
+        odd.instances
+            .insert("plain".to_string(), Instance::new("mmi"));
+        odd.connections.push(Connection {
+            a: PortRef::new("tab\tname", "O\"1"),
+            b: PortRef::new("plain", "I1"),
+        });
+        odd.ports
+            .insert("I\\1".to_string(), PortRef::new("plain", "O1"));
+        odd.models
+            .insert("wave\"guide\\\n\u{1}".to_string(), "waveguide".to_string());
+        odd.models.insert("mmi".to_string(), "mmi1x2".to_string());
+        let text = odd.to_json_string();
+        assert_eq!(text, pretty(&odd));
+        for lexeme in [
+            "\"neg_zero\": -0",
+            "\"nan\": null",
+            "\"inf\": null",
+            "\"big\": 1000000000000000",
+            "\"fraction\": 0.1",
+            "\"int\": 42",
+            "\\u0001",
+            "\"tab\\tname,O\\\"1\": \"plain,I1\"",
+        ] {
+            assert!(text.contains(lexeme), "{lexeme} missing from {text}");
+        }
+
+        let mut out = String::from("prefix ");
+        odd.write_json(&mut out);
+        assert_eq!(out, format!("prefix {text}"));
     }
 
     #[test]

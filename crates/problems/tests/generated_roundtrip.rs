@@ -9,6 +9,7 @@
 //! and of document-order permutations.
 
 use picbench_conformance::{shuffle_netlist, CircuitStrategy, GeneratorConfig};
+use picbench_netlist::json;
 use picbench_problems::{problems_from_json, problems_to_json, Category, Problem};
 use proptest::prelude::*;
 use proptest::TestRng;
@@ -91,5 +92,27 @@ fn builtin_suite_canonical_hashes_survive_serde() {
     assert_eq!(decoded.len(), suite.len());
     for (a, b) in suite.iter().zip(&decoded) {
         assert_eq!(a.golden.content_hash(), b.golden.content_hash(), "{}", a.id);
+    }
+}
+
+/// `Netlist::to_json_string` writes straight from the netlist; it must
+/// stay byte-identical to pretty-printing the `Value` tree that
+/// `to_value` builds for embedding.
+#[test]
+fn direct_netlist_writer_matches_the_value_tree_on_goldens_and_generated_circuits() {
+    let pretty = |n: &picbench_netlist::Netlist| json::to_string_pretty(&n.to_value());
+    for problem in picbench_problems::suite() {
+        assert_eq!(
+            problem.golden.to_json_string(),
+            pretty(&problem.golden),
+            "{}",
+            problem.id
+        );
+    }
+    let strategy = CircuitStrategy::new(GeneratorConfig::default());
+    for seed in [1u64, 20250205, 0xdead_beef] {
+        for case in strategy.sample(seed, 32) {
+            assert_eq!(case.netlist.to_json_string(), pretty(&case.netlist));
+        }
     }
 }

@@ -256,12 +256,29 @@ impl SessionTable {
         Some(session)
     }
 
-    /// Registers the session's campaign thread so shutdown can drain it.
+    /// Registers the session's campaign thread so shutdown can drain it,
+    /// and joins the runners that have already exited: an unjoined
+    /// thread keeps its resources until joined, so without this every
+    /// finished session would hold them until shutdown.
     pub fn track_runner(&self, handle: JoinHandle<()>) {
-        self.runners
-            .lock()
-            .expect("session runners poisoned")
-            .push(handle);
+        let exited: Vec<JoinHandle<()>> = {
+            let mut runners = self.runners.lock().expect("session runners poisoned");
+            let (exited, running) = runners.drain(..).partition(JoinHandle::is_finished);
+            *runners = running;
+            runners.push(handle);
+            exited
+        };
+        for runner in exited {
+            // A panicked runner already transitioned its session to
+            // Failed; nothing is left to report.
+            let _ = runner.join();
+        }
+    }
+
+    /// Campaign threads registered and not yet joined.
+    #[cfg(test)]
+    fn tracked_runners(&self) -> usize {
+        self.runners.lock().expect("session runners poisoned").len()
     }
 
     /// Looks a session up *within* a tenant: sessions of other tenants
@@ -453,6 +470,26 @@ mod tests {
         let stats = table.stats();
         assert_eq!(stats.peak_active, 2);
         assert_eq!(stats.started, 3);
+    }
+
+    #[test]
+    fn exited_runners_are_joined_as_new_ones_are_tracked() {
+        let table = Arc::new(SessionTable::new());
+        for _ in 0..64 {
+            let session = table.admit("t", 4).unwrap();
+            let runner = {
+                let table = Arc::clone(&table);
+                std::thread::spawn(move || table.finish(&session, SessionState::Finished))
+            };
+            while !runner.is_finished() {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            table.track_runner(runner);
+            assert_eq!(table.tracked_runners(), 1, "exited runners were kept");
+        }
+        assert_eq!(table.stats().finished, 64);
+        table.drain();
+        assert_eq!(table.tracked_runners(), 0);
     }
 
     #[test]

@@ -336,6 +336,24 @@ fn tenants_share_the_cache_but_not_counters_or_sessions() {
 }
 
 #[test]
+fn deeply_nested_problem_set_is_a_400_and_the_server_keeps_serving() {
+    let server = start_default();
+    let client = ApiClient::new(server.addr());
+    // 200 KB of nested brackets, far under the body limit: before the
+    // parser's nesting cap this overflowed a worker's stack and aborted
+    // the whole process.
+    let hostile = "[".repeat(200 * 1024);
+    let refused = client
+        .request("POST", "/v1/problem-sets", Some(&hostile))
+        .unwrap();
+    assert_eq!(refused.status, 400, "{}", refused.body);
+    assert!(refused.body.contains("nesting"), "{}", refused.body);
+    let stats = client.request("GET", "/v1/stats", None).unwrap();
+    assert_eq!(stats.status, 200, "{}", stats.body);
+    server.shutdown();
+}
+
+#[test]
 fn capacity_is_enforced_with_429() {
     let server = PicbenchServer::start(ServerConfig {
         max_sessions: 1,

@@ -123,6 +123,16 @@ impl Corruption {
         self.category().is_none()
     }
 
+    /// Whether the mistake edits the rendered JSON text
+    /// ([`Corruption::ExtraText`], [`Corruption::BreakJson`]) rather
+    /// than the netlist.
+    pub fn is_text_level(&self) -> bool {
+        matches!(
+            self,
+            Corruption::ExtraText { .. } | Corruption::BreakJson { .. }
+        )
+    }
+
     /// Applies the structural part of the mistake to a netlist.
     /// Text-level corruptions ([`Corruption::ExtraText`],
     /// [`Corruption::BreakJson`]) are applied at render time instead.
@@ -320,10 +330,14 @@ fn tweaked_value(param: &str, old: f64) -> f64 {
 }
 
 /// Samples one syntax corruption of the requested category against the
-/// golden design. Returns `None` when the category cannot be staged on
-/// this particular design (e.g. no swappable models entry).
+/// golden design. `free_ports` is the golden's
+/// [`unused_ports`](crate::unused_ports) list, which depends only on the
+/// golden, so callers compute it once per problem. Returns `None` when
+/// the category cannot be staged on this particular design (e.g. no
+/// swappable models entry).
 pub fn sample_syntax_corruption<R: Rng + ?Sized>(
     golden: &Netlist,
+    free_ports: &[(String, String)],
     category: FailureType,
     rng: &mut R,
 ) -> Option<Corruption> {
@@ -343,7 +357,7 @@ pub fn sample_syntax_corruption<R: Rng + ?Sized>(
         FailureType::BoundIoPorts => {
             let externals: Vec<&str> = golden.ports.keys().collect();
             let external = externals.choose(rng)?.to_string();
-            let other = pick_other_port(golden, rng)?;
+            let other = pick_other_port(golden, free_ports, rng)?;
             Some(Corruption::BoundIo { external, other })
         }
         FailureType::InstancesModelsConfusion => {
@@ -372,12 +386,11 @@ pub fn sample_syntax_corruption<R: Rng + ?Sized>(
             } else {
                 conn.b.clone()
             };
-            let other = pick_other_port(golden, rng)?;
+            let other = pick_other_port(golden, free_ports, rng)?;
             Some(Corruption::DuplicateConnection { endpoint, other })
         }
         FailureType::DanglingPortConnection => {
-            let free = knowledge::unused_ports(golden);
-            let target = if let Some((inst, port)) = free.choose(rng) {
+            let target = if let Some((inst, port)) = free_ports.choose(rng) {
                 PortRef::new(inst.clone(), port.clone())
             } else {
                 // No genuinely free port: re-expose an existing target
@@ -465,11 +478,14 @@ pub fn sample_functional_corruption<R: Rng + ?Sized>(
     })
 }
 
-fn pick_other_port<R: Rng + ?Sized>(golden: &Netlist, rng: &mut R) -> Option<PortRef> {
+fn pick_other_port<R: Rng + ?Sized>(
+    golden: &Netlist,
+    free_ports: &[(String, String)],
+    rng: &mut R,
+) -> Option<PortRef> {
     // Prefer genuinely unused ports so the corruption stays focused on
     // its own category.
-    let free = knowledge::unused_ports(golden);
-    if let Some((inst, port)) = free.choose(rng) {
+    if let Some((inst, port)) = free_ports.choose(rng) {
         return Some(PortRef::new(inst.clone(), port.clone()));
     }
     let conn = golden.connections.choose(rng)?;
@@ -503,9 +519,10 @@ mod tests {
     #[test]
     fn every_category_can_be_sampled_on_the_reference_design() {
         let g = golden();
+        let free = knowledge::unused_ports(&g);
         let mut rng = StdRng::seed_from_u64(1);
         for category in FailureType::ALL {
-            let c = sample_syntax_corruption(&g, category, &mut rng)
+            let c = sample_syntax_corruption(&g, &free, category, &mut rng)
                 .unwrap_or_else(|| panic!("cannot stage {category:?}"));
             assert_eq!(c.category(), Some(category));
         }

@@ -7,7 +7,8 @@
 //! a port the component does not have, re-exposing genuinely unused
 //! ports, …).
 
-use picbench_netlist::Netlist;
+use picbench_netlist::{Instance, Netlist};
+use std::collections::HashSet;
 
 /// Port lists of the built-in component models, mirroring
 /// `picbench_sparams::builtin_models()`.
@@ -47,14 +48,14 @@ pub fn is_builtin(model_ref: &str) -> bool {
 /// Resolves an instance's model reference through the netlist's `models`
 /// section (falling back to the component name itself).
 pub fn instance_model_ref<'a>(netlist: &'a Netlist, instance: &str) -> Option<&'a str> {
-    let inst = netlist.instances.get(instance)?;
-    Some(
-        netlist
-            .models
-            .get(&inst.component)
-            .map(String::as_str)
-            .unwrap_or(inst.component.as_str()),
-    )
+    Some(model_ref(netlist, netlist.instances.get(instance)?))
+}
+
+fn model_ref<'a>(netlist: &'a Netlist, inst: &'a Instance) -> &'a str {
+    netlist
+        .models
+        .get(&inst.component)
+        .map_or(inst.component.as_str(), String::as_str)
 }
 
 /// The port list of an instance in a netlist, if its model is built-in.
@@ -63,21 +64,26 @@ pub fn instance_ports(netlist: &Netlist, instance: &str) -> Option<&'static [&'s
 }
 
 /// Every `(instance, port)` pair in the netlist that exists on its
-/// component but is used by no connection and no external port.
+/// component but is used by no connection and no external port, in
+/// instance order and then component port order.
+///
+/// One pass over the endpoints and one over the instances. It depends
+/// only on the netlist, so [`crate::SyntheticLlm`] computes it once per
+/// problem and hands it to
+/// [`sample_syntax_corruption`](crate::corrupt::sample_syntax_corruption).
 pub fn unused_ports(netlist: &Netlist) -> Vec<(String, String)> {
-    let used: Vec<String> = netlist
-        .all_endpoint_refs()
+    let used: HashSet<(&str, &str)> = netlist
+        .connections
         .iter()
-        .map(|pr| pr.to_string())
+        .flat_map(|c| [&c.a, &c.b])
+        .chain(netlist.ports.iter().map(|(_, pr)| pr))
+        .map(|pr| (pr.instance.as_str(), pr.port.as_str()))
         .collect();
     let mut free = Vec::new();
-    for (name, _) in netlist.instances.iter() {
-        if let Some(ports) = instance_ports(netlist, name) {
-            for port in ports {
-                let key = format!("{name},{port}");
-                if !used.contains(&key) {
-                    free.push((name.to_string(), (*port).to_string()));
-                }
+    for (name, inst) in netlist.instances.iter() {
+        for port in ports_of(model_ref(netlist, inst)).unwrap_or(&[]) {
+            if !used.contains(&(name, *port)) {
+                free.push((name.to_string(), (*port).to_string()));
             }
         }
     }
@@ -147,6 +153,40 @@ mod tests {
         let free = unused_ports(&n);
         // mmi1,O2 is the only free port.
         assert_eq!(free, vec![("mmi1".to_string(), "O2".to_string())]);
+    }
+
+    /// The original quadratic scan, kept as the oracle for the linear one.
+    fn unused_ports_oracle(netlist: &Netlist) -> Vec<(String, String)> {
+        let used: Vec<String> = netlist
+            .all_endpoint_refs()
+            .iter()
+            .map(|pr| pr.to_string())
+            .collect();
+        let mut free = Vec::new();
+        for (name, _) in netlist.instances.iter() {
+            if let Some(ports) = instance_ports(netlist, name) {
+                for port in ports {
+                    let key = format!("{name},{port}");
+                    if !used.contains(&key) {
+                        free.push((name.to_string(), (*port).to_string()));
+                    }
+                }
+            }
+        }
+        free
+    }
+
+    #[test]
+    fn linear_scan_matches_the_quadratic_oracle_on_every_golden() {
+        let mut nonempty = 0;
+        for problem in picbench_problems::suite() {
+            let free = unused_ports(&problem.golden);
+            assert_eq!(free, unused_ports_oracle(&problem.golden), "{}", problem.id);
+            nonempty += usize::from(!free.is_empty());
+        }
+        assert!(nonempty > 0, "no golden exercises a free port");
+        let n = sample();
+        assert_eq!(unused_ports(&n), unused_ports_oracle(&n));
     }
 
     #[test]

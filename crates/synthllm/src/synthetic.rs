@@ -8,6 +8,7 @@
 //! chat responses, exactly as the paper's harness sees API output.
 
 use crate::corrupt::{sample_functional_corruption, sample_syntax_corruption, Corruption};
+use crate::knowledge::unused_ports;
 use crate::profile::ModelProfile;
 use crate::LanguageModel;
 use picbench_netlist::{FailureType, Netlist};
@@ -15,6 +16,7 @@ use picbench_problems::Problem;
 use picbench_prompt::{Conversation, Role, FUNCTIONAL_FEEDBACK};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -43,13 +45,31 @@ fn mix_seed(parts: &[&str], numbers: &[u64]) -> u64 {
     h
 }
 
+/// Text of every response up to the problem name, and from the problem
+/// name to the JSON body.
+const ANALYSIS_HEAD: &str = "<analysis>\nStep 1: identify the required building blocks for the ";
+const ANALYSIS_TAIL: &str = " design from the API document.\nStep 2: instantiate each component \
+     with the specified parameters, using defaults elsewhere.\nStep 3: wire the components port \
+     by port and expose the external I/O ports.\n</analysis>\n<result>\n";
+const RESULT_TAIL: &str = "\n</result>";
+
+/// What the model knows about one problem: everything that depends only
+/// on the golden design, built once per problem and shared by all of
+/// its samples.
+#[derive(Debug)]
+struct ProblemFacts {
+    golden: Netlist,
+    /// The golden design rendered to JSON — the response body of every
+    /// attempt without a structural corruption.
+    golden_json: String,
+    /// The golden's unused ports, which corruption sampling draws from.
+    free_ports: Vec<(String, String)>,
+}
+
 /// Per-sample generation state.
 #[derive(Debug)]
 struct SampleState {
-    golden: Arc<Netlist>,
-    /// The golden design pre-rendered to JSON — the response body of
-    /// every corruption-free attempt, shared across samples.
-    golden_json: Arc<String>,
+    facts: Arc<ProblemFacts>,
     /// Effective syntax difficulty: √instances/2 times the persistent
     /// per-(model, problem) knowledge multiplier.
     difficulty: f64,
@@ -60,6 +80,18 @@ struct SampleState {
     problem_name: String,
     /// Feedback rounds consumed so far in this sample.
     feedback_rounds: usize,
+}
+
+impl SampleState {
+    /// Stages a mistake of `category`, when the golden design allows one.
+    fn add_syntax_corruption(&mut self, category: FailureType) {
+        let facts = &self.facts;
+        if let Some(c) =
+            sample_syntax_corruption(&facts.golden, &facts.free_ports, category, &mut self.rng)
+        {
+            self.corruptions.push(c);
+        }
+    }
 }
 
 /// A standard normal draw from a dedicated seeded stream — used for the
@@ -78,10 +110,10 @@ pub struct SyntheticLlm {
     profile: ModelProfile,
     global_seed: u64,
     state: Option<SampleState>,
-    /// Per-problem golden design and its rendered JSON, shared across
-    /// samples (begin_sample would otherwise clone and re-serialize the
+    /// Per-problem facts keyed by problem id, shared across samples
+    /// (begin_sample would otherwise clone, re-serialize and re-scan the
     /// golden for every sample — pure overhead in large campaigns).
-    problem_cache: HashMap<String, (Arc<Netlist>, Arc<String>)>,
+    problem_cache: HashMap<String, Arc<ProblemFacts>>,
 }
 
 impl SyntheticLlm {
@@ -132,16 +164,14 @@ impl SyntheticLlm {
                 restricted.contains(&category),
             );
             if state.rng.gen_bool(p) {
-                if let Some(c) = sample_syntax_corruption(&state.golden, category, &mut state.rng) {
-                    state.corruptions.push(c);
-                }
+                state.add_syntax_corruption(category);
             }
         }
         let pf = self
             .profile
             .functional_rate(state.functional_difficulty, !restricted.is_empty());
         if state.rng.gen_bool(pf) {
-            if let Some(c) = sample_functional_corruption(&state.golden, &mut state.rng) {
+            if let Some(c) = sample_functional_corruption(&state.facts.golden, &mut state.rng) {
                 state.corruptions.push(c);
             }
         }
@@ -183,9 +213,7 @@ impl SyntheticLlm {
         if state.rng.gen_bool(relapse_rate) {
             let idx = state.rng.gen_range(0..FailureType::ALL.len());
             let category = FailureType::ALL[idx];
-            if let Some(c) = sample_syntax_corruption(&state.golden, category, &mut state.rng) {
-                state.corruptions.push(c);
-            }
+            state.add_syntax_corruption(category);
         }
     }
 
@@ -206,38 +234,54 @@ impl SyntheticLlm {
         if state.rng.gen_bool(relapse_rate * 0.5) {
             let idx = state.rng.gen_range(0..FailureType::ALL.len());
             let category = FailureType::ALL[idx];
-            if let Some(c) = sample_syntax_corruption(&state.golden, category, &mut state.rng) {
-                state.corruptions.push(c);
-            }
+            state.add_syntax_corruption(category);
         }
     }
 
     fn render_response(&self) -> String {
         let state = self.state.as_ref().expect("begin_sample not called");
-        // Belief = golden + structural corruptions (text-level ones are
-        // applied to the rendered JSON afterwards). Corruption-free
-        // attempts — the common case in converged feedback rounds — use
-        // the pre-rendered golden JSON.
-        let json = if state.corruptions.is_empty() {
-            (*state.golden_json).clone()
+        let facts = &state.facts;
+        // Belief = golden + structural corruptions; text-level ones edit
+        // the rendered JSON afterwards. Without a structural corruption
+        // the body starts from the pre-rendered golden JSON.
+        let belief = state
+            .corruptions
+            .iter()
+            .any(|c| !c.is_text_level())
+            .then(|| {
+                let mut belief = facts.golden.clone();
+                for c in &state.corruptions {
+                    c.apply(&mut belief);
+                }
+                belief
+            });
+        let mut out = String::with_capacity(
+            ANALYSIS_HEAD.len()
+                + state.problem_name.len()
+                + ANALYSIS_TAIL.len()
+                + facts.golden_json.len()
+                + RESULT_TAIL.len()
+                + 128,
+        );
+        out.push_str(ANALYSIS_HEAD);
+        out.push_str(&state.problem_name);
+        out.push_str(ANALYSIS_TAIL);
+        if state.corruptions.iter().any(Corruption::is_text_level) {
+            let mut json = match &belief {
+                Some(belief) => Cow::Owned(belief.to_json_string()),
+                None => Cow::Borrowed(facts.golden_json.as_str()),
+            };
+            for c in state.corruptions.iter().filter(|c| c.is_text_level()) {
+                json = Cow::Owned(c.apply_text(&json));
+            }
+            out.push_str(&json);
+        } else if let Some(belief) = &belief {
+            belief.write_json(&mut out);
         } else {
-            let mut belief = (*state.golden).clone();
-            for c in &state.corruptions {
-                c.apply(&mut belief);
-            }
-            let mut json = belief.to_json_string();
-            for c in &state.corruptions {
-                json = c.apply_text(&json);
-            }
-            json
-        };
-        format!(
-            "<analysis>\nStep 1: identify the required building blocks for the {name} design \
-             from the API document.\nStep 2: instantiate each component with the specified \
-             parameters, using defaults elsewhere.\nStep 3: wire the components port by port \
-             and expose the external I/O ports.\n</analysis>\n<result>\n{json}\n</result>",
-            name = state.problem_name,
-        )
+            out.push_str(&facts.golden_json);
+        }
+        out.push_str(RESULT_TAIL);
+        out
     }
 }
 
@@ -270,18 +314,21 @@ impl LanguageModel for SyntheticLlm {
         let z_func = 0.7 * z_syntax + (1.0f64 - 0.49).sqrt() * seeded_normal(k_func);
         let syntax_mult = (self.profile.knowledge_sigma * z_syntax).exp();
         let func_mult = (self.profile.functional_knowledge_sigma * z_func).exp();
-        let (golden, golden_json) = self
-            .problem_cache
-            .entry(problem.id.to_string())
-            .or_insert_with(|| {
-                let golden = Arc::new(problem.golden.clone());
-                let json = Arc::new(golden.to_json_string());
-                (golden, json)
-            })
-            .clone();
+        let facts = match self.problem_cache.get(&problem.id) {
+            Some(facts) => Arc::clone(facts),
+            None => {
+                let facts = Arc::new(ProblemFacts {
+                    golden: problem.golden.clone(),
+                    golden_json: problem.golden.to_json_string(),
+                    free_ports: unused_ports(&problem.golden),
+                });
+                self.problem_cache
+                    .insert(problem.id.clone(), Arc::clone(&facts));
+                facts
+            }
+        };
         self.state = Some(SampleState {
-            golden,
-            golden_json,
+            facts,
             difficulty: base * syntax_mult,
             functional_difficulty: base * func_mult,
             rng: StdRng::seed_from_u64(seed),
@@ -299,11 +346,10 @@ impl LanguageModel for SyntheticLlm {
         let restricted = Self::restricted_categories(conversation);
         let last_user = conversation
             .last_from(Role::User)
-            .map(|t| t.content.clone())
-            .unwrap_or_default();
+            .map_or("", |t| t.content.as_str());
 
         if last_user.contains(CORRECTION_MARKER) {
-            self.repair_syntax(&last_user);
+            self.repair_syntax(last_user);
         } else if last_user.contains(FUNCTIONAL_FEEDBACK) {
             self.repair_functional();
         } else {

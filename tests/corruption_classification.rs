@@ -12,7 +12,7 @@ use picbench::core::Evaluator;
 use picbench::netlist::{FailureType, Netlist};
 use picbench::synthllm::{
     corrupt::{sample_functional_corruption, sample_syntax_corruption},
-    Corruption,
+    unused_ports, Corruption,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -34,8 +34,10 @@ fn every_syntax_corruption_is_caught_and_classified() {
 
     for problem in &problems {
         let mut rng = StdRng::seed_from_u64(0xC0FFEE ^ problem.id.len() as u64);
+        let free_ports = unused_ports(&problem.golden);
         for category in FailureType::ALL {
-            let Some(corruption) = sample_syntax_corruption(&problem.golden, category, &mut rng)
+            let Some(corruption) =
+                sample_syntax_corruption(&problem.golden, &free_ports, category, &mut rng)
             else {
                 // Not stageable on this design (e.g. no swappable models
                 // entry) — legitimate.

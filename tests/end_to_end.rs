@@ -4,7 +4,7 @@
 
 use picbench::core::{pass_at_k, run_campaign, run_sample, CampaignConfig, Evaluator, LoopConfig};
 use picbench::sim::{evaluate, Backend, Circuit, ModelRegistry, WavelengthGrid};
-use picbench::synthllm::{ModelProfile, PerfectLlm};
+use picbench::synthllm::{ModelProfile, ModelProvider, PerfectLlm, PAPER_SEED};
 
 #[test]
 fn both_backends_agree_on_every_golden_design() {
@@ -140,5 +140,40 @@ fn restrictions_improve_restricted_models() {
         "restrictions should lift Gemini-profile sharply: {:.1} -> {:.1}",
         scores[0],
         scores[1]
+    );
+}
+
+/// Pins every synthetic-model response of a small fixed campaign (three
+/// problems × the five paper models × feedback 3 × two samples) by the
+/// FNV-1a digest of their concatenated text, so a change to response
+/// rendering or corruption sampling can never move a response silently.
+#[test]
+fn synthetic_responses_match_their_recorded_digest() {
+    let mut evaluator = Evaluator::default();
+    let config = LoopConfig {
+        max_feedback_iters: 3,
+        restrictions: false,
+    };
+    let mut transcript = Vec::new();
+    let mut responses = 0usize;
+    for id in ["mzi-ps", "clements-8x8", "crossbar-8x8"] {
+        let problem = picbench::problems::find(id).unwrap();
+        for profile in ModelProfile::all_paper_models() {
+            let mut llm = profile.spawn_seeded(PAPER_SEED);
+            for sample in 0..2 {
+                let result = run_sample(llm.as_mut(), &problem, &mut evaluator, config, sample);
+                for attempt in &result.attempts {
+                    transcript.extend_from_slice(attempt.response.as_bytes());
+                    transcript.push(0);
+                    responses += 1;
+                }
+            }
+        }
+    }
+    assert!(responses > 30, "campaign too small: {responses} responses");
+    assert_eq!(
+        (responses, picbench::store::fnv1a64(&transcript)),
+        (116, 0xa042_4e2f_b8a8_5fd0),
+        "a synthetic response moved"
     );
 }
